@@ -191,9 +191,9 @@ CaptureUnit::publishSealed(Cycle watermark)
 {
     // Overflowed records are already sealed — they only ever wait for
     // ring space, and must go first to keep the ring rid-ordered.
-    while (!liveOverflow_.empty() &&
-           ring_->tryPush(std::move(liveOverflow_.front()))) {
-        liveOverflow_.pop_front();
+    while (!overflow_.empty() &&
+           ring_->tryPush(std::move(overflow_.front()))) {
+        overflow_.pop_front();
     }
     while (const EventRecord *head = buf_.peek(visLimit_)) {
         // The watermark seals against future consume-version
@@ -204,17 +204,17 @@ CaptureUnit::publishSealed(Cycle watermark)
         if (head->appendCycle > watermark)
             break;
         EventRecord rec = buf_.pop();
-        if (!liveOverflow_.empty() || !ring_->tryPush(std::move(rec)))
-            liveOverflow_.push_back(std::move(rec));
+        if (!overflow_.empty() || !ring_->tryPush(std::move(rec)))
+            overflow_.push_back(std::move(rec));
     }
     ring_->publish();
     // Publish records *before* raising the bound (release): a consumer
     // that acquires the new bound and finds the ring empty must be
     // guaranteed every record below it was really handed over.
     RecordId bound = bufferCeiling();
-    if (!liveOverflow_.empty() && liveOverflow_.front().rid < bound)
-        bound = liveOverflow_.front().rid;
-    setCeilingBound(bound);
+    if (!overflow_.empty() && overflow_.front().rid < bound)
+        bound = overflow_.front().rid;
+    ceilingBound_.store(bound, std::memory_order_release);
 }
 
 RecordId

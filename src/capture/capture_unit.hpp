@@ -138,55 +138,53 @@ class CaptureUnit
      */
     RecordId progressCeiling() const;
 
-    /** The log-buffer-side ceiling (the serial progressCeiling
-     *  formula), regardless of ring mode. In ring mode this is the
-     *  producer-side input to setCeilingBound. */
-    RecordId bufferCeiling() const;
-
     // ---- concurrent (ring) hand-off mode --------------------------------
 
     /**
-     * Switch the consumer face to a cross-thread SPSC ring. The replay
-     * producer thread moves fully-sealed records out of the log buffer
-     * into the ring (publishing batches atomically) and advances the
-     * ceiling bound; the consumer side of peek/pop/dropFront/
-     * progressCeiling then reads the ring only. Producer-side mutators
-     * (append/attachArcs/annotate/...) keep operating on the log
-     * buffer and stay producer-thread-only.
+     * Switch the consumer face to a cross-thread SPSC ring (both
+     * concurrent engines, via core/lifeguard_threads.hpp; null switches
+     * back). publishSealed() then moves sealed records out of the log
+     * buffer into the ring and advances the ceiling bound; the consumer
+     * side of peek/pop/dropFront/progressCeiling reads the ring only.
+     * Producer-side mutators (append/attachArcs/annotate/...) keep
+     * operating on the log buffer and stay producer-thread-only.
      */
     void attachRing(SpscRing<EventRecord> *ring) { ring_ = ring; }
-    SpscRing<EventRecord> *ring() { return ring_; }
 
     /**
-     * Live-parallel online seal: move every sealed head record into the
-     * ring and advance the ceiling bound. A record is sealed once (a)
-     * it is visible under the TSO visibility limit (all annotations —
+     * The online publication seal, shared by concurrent live and
+     * concurrent replay: move every sealed head record into the ring
+     * and advance the ceiling bound. A record is sealed once (a) it is
+     * visible under the TSO visibility limit (all annotations —
      * drain-time arcs, consume versions, produce insertions — land on
      * records the limit still hides) and (b) its append cycle is at or
      * below @p watermark, the minimum retire cycle over all buffered
      * TSO stores: MemorySystem::addArcFrom raises a version request
      * only against an access that retired strictly *after* the draining
      * store, so no future drain can target a record published under
-     * this rule. Under SC (or with empty store buffers) the watermark
-     * is Cycle max and the rule degenerates to the visibility limit.
+     * this rule. Live runs read the watermark from the store buffers,
+     * replay derives it from the journal's retire ticks; under SC (or
+     * with empty store buffers) it is Cycle max and the rule
+     * degenerates to the visibility limit.
      *
      * Records sealed while the ring is full spill to an unbounded
      * producer-side overflow queue (FIFO with the ring) so the seal
-     * never blocks the application simulation. Producer-thread-only.
+     * never blocks the producer. This is the only code that moves
+     * records into the ring. Producer-thread-only.
      */
     void publishSealed(Cycle watermark);
 
     /** True once every captured record has been handed to the ring
      *  (log buffer and overflow both empty). Producer-thread-only. */
     bool
-    liveAllPublished() const
+    allPublished() const
     {
-        return buf_.empty() && liveOverflow_.empty();
+        return buf_.empty() && overflow_.empty();
     }
 
     /** Sealed-but-unpublished records waiting for ring space
      *  (producer-side; watchdog signature input). */
-    std::size_t overflowSize() const { return liveOverflow_.size(); }
+    std::size_t overflowSize() const { return overflow_.size(); }
 
     /** Current publication frontier (acquire; either side may read). */
     RecordId
@@ -205,20 +203,6 @@ class CaptureUnit
      * consumer-face state, so the producer thread may call it freely.
      */
     bool drainedForSyscall() const { return buf_.peek(visLimit_) == nullptr; }
-
-    /**
-     * Ring-mode progress bound: a consumer that has drained the ring
-     * may publish progress up to this value. The producer advances it
-     * (release) only after publishing every ring record it covers, and
-     * progressCeiling() reads it (acquire) *before* looking at the ring
-     * head — so a bound observed together with an empty ring really
-     * means every record below the bound was handed over.
-     */
-    void
-    setCeilingBound(RecordId bound)
-    {
-        ceilingBound_.store(bound, std::memory_order_release);
-    }
 
     LogBuffer &buffer() { return buf_; }
     ArcReducer &reducer() { return reducer_; }
@@ -267,6 +251,11 @@ class CaptureUnit
     StatSet stats{"capture"};
 
   private:
+    /** The log-buffer-side ceiling (the serial progressCeiling
+     *  formula), regardless of ring mode; in ring mode publishSealed
+     *  turns it into the ceiling bound. */
+    RecordId bufferCeiling() const;
+
     ThreadId tid_;
     EventFilter filter_;
     LogBuffer buf_;
@@ -279,13 +268,17 @@ class CaptureUnit
     RecordId visLimit_ = kInvalidRecord;
     /// Concurrent hand-off (attachRing): consumer face reads the ring.
     SpscRing<EventRecord> *ring_ = nullptr;
-    /// Ring-mode progress bound, producer-published (release) and read
-    /// by progressCeiling() (acquire) before the ring head.
+    /// Ring-mode progress bound: a consumer that has drained the ring
+    /// may publish progress up to this value. publishSealed raises it
+    /// (release) only after publishing every ring record it covers, and
+    /// progressCeiling() reads it (acquire) *before* the ring head — so
+    /// a bound seen together with an empty ring really means every
+    /// record below it was handed over.
     std::atomic<RecordId> ceilingBound_{0};
-    /// Live-parallel: sealed records that found the ring full. Drained
-    /// ahead of the log buffer on the next publishSealed so the ring
-    /// stays FIFO by rid. Producer-thread-only.
-    std::deque<EventRecord> liveOverflow_;
+    /// Sealed records that found the ring full. Drained ahead of the
+    /// log buffer on the next publishSealed so the ring stays FIFO by
+    /// rid. Producer-thread-only.
+    std::deque<EventRecord> overflow_;
     /// Arcs that survived reduction but whose record was filtered out;
     /// re-attached to the next captured record (conservative ordering).
     std::vector<DepArc> pendingArcsCarry_;

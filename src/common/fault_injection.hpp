@@ -2,26 +2,24 @@
  * @file
  * Unified fault-injection registry.
  *
- * PR 4 and PR 6 grew ad-hoc failure seams (PARALOG_FAIL_CELL,
- * PARALOG_FAIL_LG) as the deterministic way to exercise containment
- * paths; the daemon adds several more (drop a connection, corrupt a
- * chunk CRC, stall a worker, fail a job). This registry gives them one
- * naming scheme and two arming mechanisms:
+ * The deterministic way to exercise containment paths: a matrix cell,
+ * a lifeguard thread, a daemon connection or job fails on demand. Two
+ * arming mechanisms:
  *
  *  - Environment: PARALOG_FAULT="point=value;point=value" — e.g.
- *    PARALOG_FAULT="cell.fail=3;daemon.stall-worker=50". The legacy
- *    variables PARALOG_FAIL_CELL and PARALOG_FAIL_LG remain supported
- *    as aliases for cell.fail and lg.fail (explicit PARALOG_FAULT
- *    entries win over aliases).
+ *    PARALOG_FAULT="cell.fail=3;daemon.stall-worker=50".
  *
  *  - Programmatic: armFault()/clearFault() from tests that share the
  *    process with running daemon threads, where setenv() mid-flight
- *    would race getenv() callers. Programmatic arms win over both.
+ *    would race getenv() callers. Programmatic arms win.
  *
  * Fault points (value semantics in parentheses):
  *
  *   cell.fail            matrix cell index that panics instead of running
- *   lg.fail              lifeguard thread id that panics in concurrent replay
+ *   lg.fail              lifeguard thread id that panics (concurrent live
+ *                        and concurrent replay)
+ *   seal.stall           lifeguard stream that is never published
+ *                        (concurrent live and concurrent replay)
  *   job.fail             daemon job sequence number that panics in its worker
  *   daemon.drop-conn     accepted-connection sequence number to drop on accept
  *   daemon.corrupt-crc   ingest session id whose next chunk CRC is flipped
@@ -43,8 +41,7 @@ namespace paralog {
 
 /**
  * The armed value of @p point, or nullopt when the point is not armed.
- * Precedence: programmatic arm, then a PARALOG_FAULT entry, then a
- * legacy alias variable.
+ * Precedence: programmatic arm, then a PARALOG_FAULT entry.
  */
 std::optional<std::uint64_t> faultValue(const std::string &point);
 

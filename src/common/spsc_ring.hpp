@@ -2,13 +2,11 @@
  * @file
  * Single-producer / single-consumer lock-free ring used as the
  * cross-thread event-stream hand-off in concurrent monitoring mode
- * (core/replay.hpp). The design separates *staging* from *publishing*:
- * the producer stages any number of pushes privately and then makes
- * them visible with one release-store (`publish()`), so a batch of
- * records — e.g. everything sealed by one journal op, including a
- * ConflictAlert arrival together with its broadcast bookkeeping —
- * appears to the consumer atomically. That batch horizon is what the
- * delivery-order proofs in the replay engine lean on.
+ * (core/lifeguard_threads.hpp). The design separates *staging* from
+ * *publishing*: the producer stages any number of pushes privately and
+ * then makes them visible with one release-store (`publish()`), so
+ * everything one CaptureUnit::publishSealed call seals appears to the
+ * consumer atomically.
  *
  * Write-minimizing by construction (one shared-cacheline store per
  * publish / per pop, never per push): indices are monotonically

@@ -221,7 +221,7 @@ runMatrix(const std::vector<RunSpec> &specs, unsigned jobs,
     // would std::terminate — keep callbacks non-throwing.)
     PanicThrowScope panic_scope;
 
-    // Fault-injection point "cell.fail" (legacy: PARALOG_FAIL_CELL).
+    // Fault-injection point "cell.fail".
     std::size_t fail_cell = n; // out of range: no injection
     if (std::optional<std::uint64_t> v = faultValue("cell.fail"))
         fail_cell = static_cast<std::size_t>(*v);

@@ -135,8 +135,7 @@ struct CellResult
  * the flag is only ever loaded here.
  *
  * Test hook: when the fault-injection point "cell.fail" (see
- * common/fault_injection.hpp; legacy alias PARALOG_FAIL_CELL) names a
- * spec index, that cell panics instead of running — the deterministic
+ * common/fault_injection.hpp) names a spec index, that cell panics instead of running — the deterministic
  * way to exercise mid-matrix failure handling at any jobs count.
  */
 std::vector<CellResult>

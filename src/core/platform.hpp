@@ -72,8 +72,9 @@ struct PlatformConfig
      * concurrent engine (core/platform_concurrent.cpp): the application
      * cores and the whole capture pipeline stay on the calling thread
      * while min(lgThreads, appThreads) consumer threads run the
-     * lifeguard cores round-robin behind lock-free SPSC rings, gated by
-     * the online publication seal (CaptureUnit::publishSealed).
+     * lifeguard cores (core/lifeguard_threads.hpp), gated by the online
+     * publication seal (CaptureUnit::publishSealed) that concurrent
+     * replay uses too.
      * Analysis results (shadow fingerprint, violation set) stay
      * identical to serial; simulated timing and delivery-schedule
      * columns are relaxed (no global clock across host threads).

@@ -1,8 +1,12 @@
 #include "core/replay.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <deque>
+#include <optional>
 
 #include "common/logging.hpp"
+#include "core/lifeguard_threads.hpp"
 
 namespace paralog {
 
@@ -55,6 +59,11 @@ ReplayCore::apply()
                                arcsCarry_.end());
             arcsCarry_.clear();
         }
+        // The publication seal's input, equal to the live stamp (both
+        // live loops journal at the cycle they step the app cores in).
+        // CA arrivals keep 0, as live.
+        if (op.op == OpCode::kAppend)
+            op.rec.appendCycle = op.cycle;
         unit_.replayAppend(std::move(op.rec), op.chargedBytes,
                            op.op == OpCode::kAppendCa);
         break;
@@ -430,19 +439,7 @@ ReplayPlatform::runSerial()
         }
     }
 
-    RunResult result;
-    result.totalCycles = now;
-    result.app = reader_.footer().app; // no application ran: recorded
-    for (auto &c : lgCores_) {
-        result.lifeguard.push_back(c->stats);
-        result.versionStallRetries +=
-            c->enforcer().stats.get("version_stalls");
-    }
-    result.versionsProduced = produced_ctr.value();
-    result.versionsConsumed = consumed_ctr.value();
-    result.violationCount = lifeguard_->violations.count();
-    result.violationFingerprint = lifeguard_->violations.setFingerprint();
-    result.shadowFingerprint = shadowFingerprint();
+    RunResult result = collectResult(now);
 
     // The oracle panics when a lifeguard performs *more* metadata
     // accesses than recorded; the opposite divergence — recorded
@@ -465,24 +462,220 @@ ReplayPlatform::runSerial()
     return result;
 }
 
+RunResult
+ReplayPlatform::collectResult(Cycle total_cycles)
+{
+    RunResult result;
+    result.totalCycles = total_cycles;
+    result.app = reader_.footer().app; // no application ran: recorded
+    for (auto &c : lgCores_) {
+        result.lifeguard.push_back(c->stats);
+        result.versionStallRetries +=
+            c->enforcer().stats.get("version_stalls");
+    }
+    result.versionsProduced = versions_.stats.counter("produced").value();
+    result.versionsConsumed = versions_.stats.counter("consumed").value();
+    result.violationCount = lifeguard_->violations.count();
+    result.violationFingerprint = lifeguard_->violations.setFingerprint();
+    result.shadowFingerprint = shadowFingerprint();
+    return result;
+}
+
+namespace {
+
+/**
+ * One stream's retire cycles from its TSO visibility limit (the oldest
+ * buffered store) on, taken from the journal's kRetire ticks: the cycle
+ * rid r retired at is the store's AccessTag retire cycle, which is the
+ * live watermark's input (TsoDataPath::oldestStoreRetire).
+ */
+class RetireLog
+{
+  public:
+    void
+    onRetire(RecordId retired, Cycle cycle, RecordId vis_limit)
+    {
+        if (vis_limit == kInvalidRecord) {
+            // No buffered store: the next limit names an unretired rid.
+            cycles_.clear();
+            base_ = retired;
+            return;
+        }
+        while (base_ + cycles_.size() < retired)
+            cycles_.push_back(cycle);
+    }
+
+    void
+    onVisLimit(RecordId limit)
+    {
+        while (limit != kInvalidRecord && base_ < limit &&
+               !cycles_.empty()) {
+            cycles_.pop_front();
+            ++base_;
+        }
+    }
+
+    Cycle
+    retireCycle(RecordId rid) const
+    {
+        PARALOG_ASSERT(rid >= base_ && rid - base_ < cycles_.size(),
+                       "concurrent replay: store %llu has no journalled "
+                       "retire tick",
+                       static_cast<unsigned long long>(rid));
+        return cycles_[rid - base_];
+    }
+
+  private:
+    RecordId base_ = 0; ///< rid of cycles_.front()
+    std::deque<Cycle> cycles_;
+};
+
+} // namespace
+
+RunResult
+ReplayPlatform::runConcurrent()
+{
+    // At least one consumer: live-parallel recordings select this engine
+    // even when no --lg-threads was requested (see the constructor).
+    LifeguardThreads pool(
+        captures_, lgCores_, *progress_, versions_,
+        std::max<std::uint32_t>(1, std::min(cfg_.lgThreads, k_)),
+        lifeguardKind_ == LifeguardKind::kLockSet);
+
+    std::vector<RetireLog> retires(k_);
+    auto watermark = [&] {
+        Cycle w = ~Cycle{0};
+        for (ThreadId t = 0; t < k_; ++t) {
+            RecordId limit = captures_[t]->visibilityLimit();
+            if (limit != kInvalidRecord)
+                w = std::min(w, retires[t].retireCycle(limit));
+        }
+        return w;
+    };
+
+    // The journal holds consume-annotation *attempts*; one took effect
+    // iff its produce follows at the next gseq, so it is held until that
+    // op shows. Serial recordings also attempt annotations on loads
+    // their lifeguard had already consumed. The online seal keeps such
+    // a load pending, so instead of a version it gets the order the
+    // recording saw: an arc from the draining store to the load.
+    struct Attempt
+    {
+        ThreadId tid;
+        RecordId rid;
+        VersionTag version;
+    };
+    std::optional<Attempt> held;
+    std::vector<DepArc> failed; ///< awaiting the draining store's thread
+
+    Cycle cycle = 0;
+    while (!pool.aborted()) {
+        ThreadId t = kInvalidThread;
+        std::uint64_t best_gseq = ~0ULL;
+        for (ThreadId i = 0; i < k_; ++i) {
+            const TraceOp *op = replayCores_[i]->peek();
+            if (op && op->gseq < best_gseq) {
+                t = i;
+                best_gseq = op->gseq;
+            }
+        }
+        if (t == kInvalidThread)
+            break;
+        ReplayCore &producer = *replayCores_[t];
+        const TraceOp &op = *producer.peek();
+        // Publish between cycles only: one app step's ops (a CA
+        // broadcast's arrivals and its issuer stamp, say) share a cycle.
+        if (op.cycle > cycle) {
+            pool.publish(watermark());
+            cycle = op.cycle;
+        }
+
+        if (held) {
+            CaptureUnit &reader = *captures_[held->tid];
+            const EventRecord *load =
+                reader.buffer().findByRidPreferMemAccess(held->rid);
+            if (op.op == OpCode::kInsertProduce &&
+                op.version == held->version) {
+                PARALOG_ASSERT(reader.annotateConsume(held->rid,
+                                                      held->version),
+                               "concurrent replay: consume annotation on "
+                               "stream %u rid %llu found no pending load",
+                               held->tid,
+                               static_cast<unsigned long long>(held->rid));
+            } else if (load && !(load->consumesVersion &&
+                                 load->version == held->version)) {
+                failed.push_back(DepArc{held->tid, held->rid});
+            }
+            held.reset();
+        }
+        if (!failed.empty() && (op.op == OpCode::kInsertProduce ||
+                                op.op == OpCode::kVisLimit)) {
+            // The drain raising the attempts ends by moving the draining
+            // thread's limit, which until then still names the store.
+            CaptureUnit &writer = *captures_[t];
+            if (EventRecord *store = writer.buffer().findStoreByRid(
+                    writer.visibilityLimit()))
+                store->arcs.insert(store->arcs.end(), failed.begin(),
+                                   failed.end());
+            failed.clear();
+        }
+
+        switch (op.op) {
+          case OpCode::kAnnotateConsume:
+            held = Attempt{t, op.rid, op.version};
+            producer.skip();
+            continue;
+          case OpCode::kRetire:
+            retires[t].onRetire(op.retired, op.cycle,
+                                captures_[t]->visibilityLimit());
+            break;
+          case OpCode::kVisLimit:
+            retires[t].onVisLimit(op.visLimit);
+            break;
+          default:
+            break;
+        }
+        producer.apply();
+    }
+
+    pool.finish("concurrent replay", cfg_.stallWatchdogIters,
+                [this](ThreadId t) {
+                    if (const TraceOp *op = replayCores_[t]->peek()) {
+                        std::fprintf(stderr,
+                                     " | next op=%u gseq=%llu cycle=%llu",
+                                     static_cast<unsigned>(op->op),
+                                     static_cast<unsigned long long>(
+                                         op->gseq),
+                                     static_cast<unsigned long long>(
+                                         op->cycle));
+                    } else {
+                        std::fprintf(stderr, " | journal exhausted");
+                    }
+                });
+
+    Cycle total = 0;
+    for (auto &c : lgCores_)
+        total = std::max(total, c->busyUntil);
+    RunResult result = collectResult(total);
+    if (cfg_.verify)
+        verifyAgainstFooter(result);
+    return result;
+}
+
 void
 ReplayPlatform::verifyAgainstFooter(const RunResult &result) const
 {
     const trace::TraceFooter &f = reader_.footer();
-    auto mismatch = [](const char *what, std::uint64_t got,
-                       std::uint64_t want) {
-        panic("replay diverged from the recording: %s = %llu, recorded "
-              "%llu",
-              what, static_cast<unsigned long long>(got),
+    const char *engine = concurrent_ ? "concurrent replay" : "replay";
+    auto mismatch = [engine](const char *what, std::uint64_t got,
+                             std::uint64_t want) {
+        panic("%s diverged from the recording: %s = %llu, recorded %llu",
+              engine, what, static_cast<unsigned long long>(got),
               static_cast<unsigned long long>(want));
     };
     if (result.shadowFingerprint != f.shadowFingerprint)
         mismatch("shadow fingerprint", result.shadowFingerprint,
                  f.shadowFingerprint);
-    if (result.totalCycles != f.totalCycles)
-        mismatch("total cycles", result.totalCycles, f.totalCycles);
-    if (result.violationCount != f.violations)
-        mismatch("violations", result.violationCount, f.violations);
     // Older recordings predate the footer's violation fingerprint.
     if (f.hasViolationFingerprint &&
         result.violationFingerprint != f.violationFingerprint)
@@ -494,11 +687,34 @@ ReplayPlatform::verifyAgainstFooter(const RunResult &result) const
     if (result.versionsConsumed != f.versionsConsumed)
         mismatch("versions consumed", result.versionsConsumed,
                  f.versionsConsumed);
+    PARALOG_ASSERT(result.lifeguard.size() == f.lifeguard.size(),
+                   "recorded lifeguard thread count mismatch");
+    for (std::size_t i = 0; i < f.lifeguard.size(); ++i) {
+        if (result.lifeguard[i].recordsProcessed !=
+            f.lifeguard[i].recordsProcessed)
+            mismatch("records processed",
+                     result.lifeguard[i].recordsProcessed,
+                     f.lifeguard[i].recordsProcessed);
+    }
+    if (concurrent_) {
+        // Violation *reports* are a delivery-schedule quantity: the
+        // Idempotent Filters absorb repeated checks, and how many they
+        // absorb depends on stall-flush timing, which free-running
+        // consumers cannot reproduce. A first occurrence can never be
+        // absorbed, though, so found-any must agree. Timing columns
+        // are relaxed.
+        if ((result.violationCount == 0) != (f.violations == 0))
+            mismatch("violations (found-any)", result.violationCount,
+                     f.violations);
+        return;
+    }
+    if (result.totalCycles != f.totalCycles)
+        mismatch("total cycles", result.totalCycles, f.totalCycles);
+    if (result.violationCount != f.violations)
+        mismatch("violations", result.violationCount, f.violations);
     if (result.versionStallRetries != f.versionStallRetries)
         mismatch("version stall retries", result.versionStallRetries,
                  f.versionStallRetries);
-    PARALOG_ASSERT(result.lifeguard.size() == f.lifeguard.size(),
-                   "recorded lifeguard thread count mismatch");
     for (std::size_t i = 0; i < f.lifeguard.size(); ++i) {
         const LifeguardThreadStats &got = result.lifeguard[i];
         const LifeguardThreadStats &want = f.lifeguard[i];
@@ -514,9 +730,6 @@ ReplayPlatform::verifyAgainstFooter(const RunResult &result) const
                      want.versionStall);
         if (got.appStall != want.appStall)
             mismatch("lifeguard app stall", got.appStall, want.appStall);
-        if (got.recordsProcessed != want.recordsProcessed)
-            mismatch("records processed", got.recordsProcessed,
-                     want.recordsProcessed);
         if (got.eventsHandled != want.eventsHandled)
             mismatch("events handled", got.eventsHandled,
                      want.eventsHandled);

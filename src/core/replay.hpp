@@ -54,12 +54,13 @@ struct ReplayConfig
     /**
      * Host lifeguard threads. 0 and 1 select the serial engine
      * (bit-identical, footer-verified). >= 2 selects the concurrent
-     * engine: one producer thread re-applies the journal while
-     * min(lgThreads, k) consumer threads run the lifeguard cores,
-     * fed through lock-free SPSC rings. Analysis results (shadow
+     * engine: the calling thread re-applies the journal while
+     * min(lgThreads, k) consumer threads run the lifeguard cores
+     * (core/lifeguard_threads.hpp), gated by the same online
+     * publication seal as live --lg-threads runs, with the watermark
+     * derived from the journal's retire ticks. Analysis results (shadow
      * fingerprint, violations, records processed, versions) stay
-     * identical to the serial engine; simulated *timing* is relaxed
-     * (see runConcurrent).
+     * identical to the serial engine; simulated *timing* is relaxed.
      */
     std::uint32_t lgThreads = 0;
     /**
@@ -88,6 +89,10 @@ class ReplayCore
 
     /** Apply the pending op to the capture unit / CA manager. */
     void apply();
+
+    /** Drop the pending op unapplied (the concurrent engine resolves
+     *  consume-annotation attempts itself). */
+    void skip() { hasPending_ = false; }
 
     bool done() { return peek() == nullptr; }
 
@@ -144,12 +149,11 @@ class ReplayPlatform
 
   private:
     RunResult runSerial();
-    /// Implemented in replay_concurrent.cpp.
     RunResult runConcurrent();
+    RunResult collectResult(Cycle total_cycles);
+    /// Every column for the serial engine; results only (no timing)
+    /// for the concurrent one.
     void verifyAgainstFooter(const RunResult &result) const;
-    /// Result-only footer check for the concurrent engine (timing
-    /// columns are relaxed there). Implemented in replay_concurrent.cpp.
-    void verifyResultsAgainstFooter(const RunResult &result) const;
     void dumpStuckState(Cycle now, std::uint64_t lg_steps);
 
     ReplayConfig cfg_;

@@ -489,9 +489,9 @@ TEST(RunMatrix, InjectedFailureIsContainedToItsCell)
     setQuiet(true);
     std::vector<RunSpec> specs = smallSpecs();
     ASSERT_GE(specs.size(), 3u);
-    setenv("PARALOG_FAIL_CELL", "1", 1);
+    setenv("PARALOG_FAULT", "cell.fail=1", 1);
     std::vector<CellResult> res = runMatrix(specs, 2);
-    unsetenv("PARALOG_FAIL_CELL");
+    unsetenv("PARALOG_FAULT");
 
     ASSERT_EQ(res.size(), specs.size());
     EXPECT_FALSE(res[0].failed);
@@ -566,7 +566,7 @@ TEST(RunMatrix, MidRunCancelSkipsTheTailOnly)
 
 /** Run the built driver; returns its exit code, fills @p output.
  *  @p env_prefix, when set, is prepended to the shell command
- *  (e.g. "PARALOG_FAIL_CELL=0"). */
+ *  (e.g. "PARALOG_FAULT=cell.fail=0"). */
 int
 runCli(const std::string &flags, std::string &output,
        const std::string &env_prefix = "")
@@ -897,7 +897,7 @@ TEST_F(CliEndToEnd, FailedCellIsMarkedAndExitCodeNonzero)
     const std::string flags = "--workload=lu --mode=none,parallel "
                               "--cores=1 --scale=1000";
     std::string csv;
-    EXPECT_EQ(runCli(flags + " --csv", csv, "PARALOG_FAIL_CELL=0"), 1)
+    EXPECT_EQ(runCli(flags + " --csv", csv, "PARALOG_FAULT=cell.fail=0"), 1)
         << csv;
     EXPECT_NE(csv.find("\"failed: injected failure"), std::string::npos)
         << csv;
@@ -905,14 +905,14 @@ TEST_F(CliEndToEnd, FailedCellIsMarkedAndExitCodeNonzero)
         << csv;
 
     std::string text;
-    EXPECT_EQ(runCli(flags, text, "PARALOG_FAIL_CELL=0"), 1) << text;
+    EXPECT_EQ(runCli(flags, text, "PARALOG_FAULT=cell.fail=0"), 1) << text;
     EXPECT_NE(text.find("FAILED: injected failure"), std::string::npos)
         << text;
     EXPECT_NE(text.find("total cycles"), std::string::npos)
         << "healthy cell missing: " << text;
 
     std::string json;
-    EXPECT_EQ(runCli(flags + " --json", json, "PARALOG_FAIL_CELL=1"), 1)
+    EXPECT_EQ(runCli(flags + " --json", json, "PARALOG_FAULT=cell.fail=1"), 1)
         << json;
     EXPECT_NE(json.find("\"status\": \"failed\""), std::string::npos)
         << json;

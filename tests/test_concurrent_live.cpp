@@ -358,10 +358,10 @@ TEST_F(LiveConcurrentFailures, SealStallTripsTheWatchdogWithDump)
 
 TEST_F(LiveConcurrentFailures, ConsumerThreadPanicSurfacesOnOwningThread)
 {
-    // Fault point "lg.fail" (legacy PARALOG_FAIL_LG) panics on the
-    // consumer thread that owns the named lifeguard stream. The engine
-    // must capture it, abort the other workers, join everything, and
-    // rethrow at the join point on the cell-owning thread.
+    // Fault point "lg.fail" panics on the consumer thread that owns the
+    // named lifeguard stream. The engine must capture it, abort the
+    // other workers, join everything, and rethrow at the join point on
+    // the cell-owning thread.
     ExperimentOptions opt = test::makeOptions(300);
     opt.lgThreads = 2;
 

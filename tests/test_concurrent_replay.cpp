@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential tests for the host-parallel replay engine
- * (`--lg-threads`, core/replay_concurrent.cpp): for every lifeguard ×
+ * (`--lg-threads`, ReplayPlatform::runConcurrent): for every lifeguard ×
  * memory model × core count × shard count, a recording replayed
  * concurrently must reach exactly the serial engine's analysis results
  * — shadow fingerprint, violations, records processed, versions
@@ -96,7 +96,27 @@ struct ConcCell
     LifeguardKind lifeguard;
     MemoryModel memoryModel;
     std::uint32_t cores;
+    WorkloadKind workload = WorkloadKind::kLu;
+    /// The recording must hold consume-annotation attempts that did not
+    /// take effect (more kAnnotateConsume ops than kInsertProduce ops).
+    bool failedAttempts = false;
 };
+
+/** Journal ops of @p op kind over every thread of a recording. */
+std::uint64_t
+countOps(const std::string &path, trace::OpCode op)
+{
+    trace::TraceReader reader(path);
+    EXPECT_TRUE(reader.ok()) << reader.error();
+    std::uint64_t n = 0;
+    for (ThreadId t = 0; t < reader.config().appThreads; ++t) {
+        trace::TraceReader::OpStream s = reader.opStream(t);
+        trace::TraceOp o;
+        while (s.next(o))
+            n += o.op == op ? 1 : 0;
+    }
+    return n;
+}
 
 class ConcurrentMatchesSerial : public test::QuietTestWithParam<ConcCell>
 {
@@ -106,14 +126,17 @@ TEST_P(ConcurrentMatchesSerial, FingerprintAndStatsIdentical)
 {
     const ConcCell &cell = GetParam();
     TempTrace tmp("diff");
-    RunSpec rec = makeSpec(WorkloadKind::kLu, cell.lifeguard, cell.cores,
+    RunSpec rec = makeSpec(cell.workload, cell.lifeguard, cell.cores,
                            cell.memoryModel, 400, tmp.path());
     RunResult live = recordExperiment(rec);
     ASSERT_NE(live.shadowFingerprint, 0u);
+    if (cell.failedAttempts) {
+        ASSERT_GT(countOps(tmp.path(), trace::OpCode::kAnnotateConsume),
+                  countOps(tmp.path(), trace::OpCode::kInsertProduce));
+    }
 
-    RunSpec replay = makeSpec(WorkloadKind::kLu, cell.lifeguard,
-                              cell.cores, cell.memoryModel, 400, "",
-                              tmp.path());
+    RunSpec replay = makeSpec(cell.workload, cell.lifeguard, cell.cores,
+                              cell.memoryModel, 400, "", tmp.path());
     RunResult serial = replayExperiment(replay);
     expectSameAnalysis(serial, live); // sanity: serial matches live
 
@@ -141,6 +164,14 @@ allConcCells()
                 cells.push_back(ConcCell{lg, mm, cores});
         }
     }
+    // Serial ocean recordings under TSO journal annotation attempts
+    // that did not take effect: a duplicate tag (TaintCheck), and a
+    // barrier pass the serial lifeguard had already consumed (LockSet).
+    for (LifeguardKind lg :
+         {LifeguardKind::kTaintCheck, LifeguardKind::kLockSet}) {
+        cells.push_back(ConcCell{lg, MemoryModel::kTSO, 4,
+                                 WorkloadKind::kOcean, true});
+    }
     return cells;
 }
 
@@ -148,7 +179,11 @@ INSTANTIATE_TEST_SUITE_P(
     LifeguardsModelsCores, ConcurrentMatchesSerial,
     ::testing::ValuesIn(allConcCells()),
     [](const ::testing::TestParamInfo<ConcCell> &info) {
-        return std::string(toString(info.param.lifeguard)) + "_" +
+        std::string workload =
+            info.param.workload == WorkloadKind::kLu
+                ? ""
+                : std::string(toString(info.param.workload)) + "_";
+        return workload + toString(info.param.lifeguard) + "_" +
                toString(info.param.memoryModel) + "_" +
                std::to_string(info.param.cores) + "c";
     });
@@ -228,10 +263,10 @@ class ConcurrentFailures : public QuietTest
 
 TEST_F(ConcurrentFailures, ConsumerThreadPanicSurfacesOnOwningThread)
 {
-    // PARALOG_FAIL_LG injects a panic on the consumer thread that owns
-    // the named lifeguard stream. The engine must capture it, abort the
-    // other workers, join everything, and rethrow at the join point on
-    // the cell-owning thread — where panic-throw scoping catches it.
+    // Fault point "lg.fail" injects a panic on the consumer thread that
+    // owns the named lifeguard stream. The engine must capture it, abort
+    // the other workers, join everything, and rethrow at the join point
+    // on the cell-owning thread — where panic-throw scoping catches it.
     TempTrace tmp("faillg");
     RunSpec rec = makeSpec(WorkloadKind::kLu, LifeguardKind::kTaintCheck,
                            2, MemoryModel::kSC, 300, tmp.path());
@@ -241,7 +276,7 @@ TEST_F(ConcurrentFailures, ConsumerThreadPanicSurfacesOnOwningThread)
                             2, MemoryModel::kSC, 300, "", tmp.path());
     conc.opt.lgThreads = 2;
 
-    ::setenv("PARALOG_FAIL_LG", "1", 1);
+    ::setenv("PARALOG_FAULT", "lg.fail=1", 1);
     bool prev = setPanicThrows(true);
     try {
         EXPECT_THROW(
@@ -249,7 +284,7 @@ TEST_F(ConcurrentFailures, ConsumerThreadPanicSurfacesOnOwningThread)
     } catch (...) {
     }
     setPanicThrows(prev);
-    ::unsetenv("PARALOG_FAIL_LG");
+    ::unsetenv("PARALOG_FAULT");
 
     // The injected failure must not wedge later runs: the same replay
     // without the injection still succeeds in this process.
@@ -275,21 +310,21 @@ TEST_F(ConcurrentFailures, FailedConcurrentCellIsContainedByRunMatrix)
         specs.push_back(s);
     }
 
-    ::setenv("PARALOG_FAIL_LG", "0", 1);
+    ::setenv("PARALOG_FAULT", "lg.fail=0", 1);
     std::vector<CellResult> cells = runMatrix(specs, 1);
-    ::unsetenv("PARALOG_FAIL_LG");
+    ::unsetenv("PARALOG_FAULT");
     ASSERT_EQ(cells.size(), 3u);
     for (const CellResult &cell : cells) {
         EXPECT_TRUE(cell.failed);
-        EXPECT_NE(cell.error.find("PARALOG_FAIL_LG"), std::string::npos)
+        EXPECT_NE(cell.error.find("lg.fail"), std::string::npos)
             << cell.error;
     }
 
-    // PARALOG_FAIL_CELL (the pre-existing injection hook) composes with
-    // concurrent cells at jobs > 1: only the named cell fails.
-    ::setenv("PARALOG_FAIL_CELL", "1", 1);
+    // Fault point "cell.fail" composes with concurrent cells at
+    // jobs > 1: only the named cell fails.
+    ::setenv("PARALOG_FAULT", "cell.fail=1", 1);
     cells = runMatrix(specs, 2);
-    ::unsetenv("PARALOG_FAIL_CELL");
+    ::unsetenv("PARALOG_FAULT");
     ASSERT_EQ(cells.size(), 3u);
     EXPECT_FALSE(cells[0].failed) << cells[0].error;
     EXPECT_TRUE(cells[1].failed);

@@ -145,8 +145,6 @@ class FaultRegistry : public test::QuietTest
     SetUp() override
     {
         ::unsetenv("PARALOG_FAULT");
-        ::unsetenv("PARALOG_FAIL_CELL");
-        ::unsetenv("PARALOG_FAIL_LG");
         clearAllFaults();
     }
     void TearDown() override { SetUp(); }
@@ -179,17 +177,10 @@ TEST_F(FaultRegistry, EnvSpecParsesEntriesAndBareNames)
     EXPECT_FALSE(faultValue("lg.fail").has_value());
 }
 
-TEST_F(FaultRegistry, LegacyAliasesStillArmTheNewNames)
+TEST_F(FaultRegistry, ProgrammaticArmWinsOverEnvironment)
 {
-    ::setenv("PARALOG_FAIL_CELL", "2", 1);
-    ::setenv("PARALOG_FAIL_LG", "1", 1);
-    EXPECT_EQ(*faultValue("cell.fail"), 2u);
-    EXPECT_EQ(*faultValue("lg.fail"), 1u);
-
-    // An explicit PARALOG_FAULT entry wins over the alias...
     ::setenv("PARALOG_FAULT", "cell.fail=5", 1);
     EXPECT_EQ(*faultValue("cell.fail"), 5u);
-    // ...and a programmatic arm wins over both.
     armFault("cell.fail", 9);
     EXPECT_EQ(*faultValue("cell.fail"), 9u);
 }

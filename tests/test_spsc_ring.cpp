@@ -189,8 +189,10 @@ TEST(SpscRing, CountersReadableFromAThirdThread)
     std::thread watcher([&] {
         std::uint64_t last = 0;
         while (!stop.load(std::memory_order_acquire)) {
-            std::uint64_t pub = ring.published();
+            // Pops first: both counters only grow, so a pop count read
+            // before the publish count can never exceed it.
             std::uint64_t pop = ring.popped();
+            std::uint64_t pub = ring.published();
             // Monotone, and consumption never overtakes publication.
             EXPECT_LE(pop, pub);
             EXPECT_GE(pub + pop, last);
