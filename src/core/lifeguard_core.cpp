@@ -1,6 +1,7 @@
 #include "core/lifeguard_core.hpp"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "common/logging.hpp"
 
@@ -256,6 +257,76 @@ LifeguardCore::step(Cycle now, Cycle batch_horizon)
     }
     publishProgress();
     busyUntil = now + cost;
+}
+
+RunResult
+Monitor::result(Cycle total_cycles)
+{
+    RunResult r;
+    r.totalCycles = total_cycles;
+    for (const auto &c : lgCores) {
+        r.lifeguard.push_back(c->stats);
+        r.versionStallRetries += c->enforcer().stats.get("version_stalls");
+    }
+    r.versionsProduced = versions.stats.counter("produced").value();
+    r.versionsConsumed = versions.stats.counter("consumed").value();
+    if (lifeguard) {
+        r.violationCount = lifeguard->violations.count();
+        r.violationFingerprint = lifeguard->violations.setFingerprint();
+    }
+    return r;
+}
+
+void
+Monitor::dump(const std::string &header,
+              const std::function<void(ThreadId)> &columns) const
+{
+    auto ull = [](std::uint64_t v) {
+        return static_cast<unsigned long long>(v);
+    };
+    std::fprintf(stderr, "=== %s ===\n", header.c_str());
+    for (ThreadId t = 0; t < captures.size(); ++t) {
+        CaptureUnit *c = captures[t].get();
+        if (c) {
+            std::fprintf(stderr, "stream %u: size=%zu visLimit=%llu "
+                                 "done=%llu",
+                         t, c->buffer().size(), ull(c->visibilityLimit()),
+                         ull(progress->done(t)));
+        } else {
+            std::fprintf(stderr, "stream %u: unmonitored", t);
+        }
+        columns(t);
+        std::fprintf(stderr, "\n");
+        if (t < lgCores.size()) {
+            LifeguardCore &lg = *lgCores[t];
+            const OrderEnforcer &oe = lg.enforcer();
+            std::fprintf(stderr,
+                         "  lg: finished=%d busyUntil=%llu wait=%s "
+                         "sameRecordRetries=%llu processed=%llu\n",
+                         lg.finished() ? 1 : 0, ull(lg.busyUntil),
+                         toString(oe.lastStatus()),
+                         ull(oe.sameRecordStallRetries()),
+                         ull(lg.stats.recordsProcessed));
+        }
+        if (const EventRecord *front = c ? c->buffer().peek() : nullptr) {
+            std::fprintf(stderr, "  front: type=%s rid=%llu arcs=[",
+                         toString(front->type), ull(front->rid));
+            for (const DepArc &a : front->arcs)
+                std::fprintf(stderr, "(%u,%llu)", a.tid, ull(a.rid));
+            std::fprintf(stderr, "] caSeq=%llu consumesV=%d\n",
+                         ull(front->caSeq), front->consumesVersion ? 1 : 0);
+        }
+    }
+    std::fprintf(stderr, "version store: %zu live entr%s\n",
+                 versions.size(), versions.size() == 1 ? "y" : "ies");
+    versions.forEach([&](const VersionTag &tag,
+                         const VersionStore::Versioned &v) {
+        std::fprintf(stderr,
+                     "  (tid=%u rid=%llu): addr=0x%llx size=%u "
+                     "writerDone=%d bits=0x%llx\n",
+                     tag.tid, ull(tag.rid), ull(v.addr), v.size,
+                     v.writerDone ? 1 : 0, ull(v.bits));
+    });
 }
 
 } // namespace paralog

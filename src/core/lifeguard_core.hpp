@@ -4,19 +4,23 @@
  * records through the order-enforcing component, runs them through the
  * accelerators, executes lifeguard handlers for delivered events, and
  * publishes progress (with delayed advertising) to the shared progress
- * table.
+ * table. Monitor bundles a run's lifeguard cores with their streams and
+ * the state they share.
  */
 
 #ifndef PARALOG_CORE_LIFEGUARD_CORE_HPP
 #define PARALOG_CORE_LIFEGUARD_CORE_HPP
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "accel/accel_unit.hpp"
 #include "core/run_stats.hpp"
 #include "deliver/order_enforce.hpp"
 #include "lifeguard/lifeguard.hpp"
+#include "lifeguard/version_store.hpp"
 
 namespace paralog {
 
@@ -82,6 +86,36 @@ class LifeguardCore
     /// (identified by rid) has not been processed yet; used to mark
     /// VersionStore entries writerDone (read-side-writer rule).
     std::vector<std::pair<VersionTag, RecordId>> pendingWriterStores_;
+};
+
+/**
+ * The monitoring side of a run, the consumer half every engine drives:
+ * one capture stream per monitored thread feeding lifeguard core t, the
+ * lifeguard, the progress table, the ConflictAlert manager and the
+ * version store. Without monitoring, the streams are null, there are no
+ * cores and no lifeguard.
+ */
+struct Monitor
+{
+    std::unique_ptr<Lifeguard> lifeguard;
+    std::unique_ptr<ProgressTable> progress;
+    std::unique_ptr<CaManager> caMgr;
+    VersionStore versions;
+    std::vector<std::unique_ptr<CaptureUnit>> captures;
+    std::vector<std::unique_ptr<LifeguardCore>> lgCores;
+
+    /** The monitoring half of every engine's result: lifeguard stats,
+     *  version counters and the violation set. */
+    RunResult result(Cycle total_cycles);
+
+    /**
+     * The one stuck-state dump, under @p header: per stream its size,
+     * visibility limit and progress, the engine's @p columns, its
+     * lifeguard core's wait state and its front record with arcs; then
+     * the version store.
+     */
+    void dump(const std::string &header,
+              const std::function<void(ThreadId)> &columns) const;
 };
 
 } // namespace paralog

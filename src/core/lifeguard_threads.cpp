@@ -6,7 +6,7 @@
 
 #include "common/fault_injection.hpp"
 #include "common/logging.hpp"
-#include "core/platform.hpp"
+#include "core/serial_scheduler.hpp"
 
 namespace paralog {
 
@@ -26,15 +26,12 @@ faultStream(const char *point)
 
 } // namespace
 
-LifeguardThreads::LifeguardThreads(
-    const std::vector<std::unique_ptr<CaptureUnit>> &captures,
-    const std::vector<std::unique_ptr<LifeguardCore>> &cores,
-    const ProgressTable &progress, VersionStore &versions,
-    std::uint32_t threads, bool serialize_steps)
-    : captures_(captures), cores_(cores), progress_(progress),
-      produced_(versions.stats.counter("produced")),
-      consumed_(versions.stats.counter("consumed")),
-      k_(static_cast<std::uint32_t>(captures.size())), threads_(threads),
+LifeguardThreads::LifeguardThreads(Monitor &monitor, std::uint32_t threads,
+                                   bool serialize_steps)
+    : mon_(monitor), captures_(monitor.captures),
+      produced_(monitor.versions.stats.counter("produced")),
+      consumed_(monitor.versions.stats.counter("consumed")),
+      k_(static_cast<std::uint32_t>(captures_.size())), threads_(threads),
       serializeSteps_(serialize_steps), failTid_(faultStream("lg.fail")),
       stallStream_(faultStream("seal.stall"))
 {
@@ -81,7 +78,7 @@ LifeguardThreads::consumerBody(std::uint32_t slot)
         bool all_done = true;
         bool progressed = false;
         for (std::size_t i = 0; i < mine.size(); ++i) {
-            LifeguardCore &core = *cores_[mine[i]];
+            LifeguardCore &core = *mon_.lgCores[mine[i]];
             if (core.finished())
                 continue;
             all_done = false;
@@ -130,7 +127,7 @@ LifeguardThreads::signature(std::uint64_t seed) const
         fold(captures_[t]->ceilingBound());
         fold(rings_[t].published());
         fold(rings_[t].popped());
-        fold(progress_.done(t));
+        fold(mon_.progress->done(t));
     }
     return sig;
 }
@@ -190,36 +187,24 @@ LifeguardThreads::fail(const char *engine, const std::string &why,
                        Cycle watermark, const StreamColumns &columns)
 {
     stop();
-    dumpFrontiers(engine, watermark, columns);
+    mon_.dump(
+        strprintf("%s watchdog state dump (watermark=%llu)", engine,
+                  static_cast<unsigned long long>(watermark)),
+        [&](ThreadId t) {
+            CaptureUnit &c = *captures_[t];
+            std::fprintf(
+                stderr,
+                " | appended=%llu frontier=%llu overflow=%zu ring "
+                "pub=%llu pop=%llu",
+                static_cast<unsigned long long>(c.buffer().appended()),
+                static_cast<unsigned long long>(c.ceilingBound()),
+                c.overflowSize(),
+                static_cast<unsigned long long>(rings_[t].published()),
+                static_cast<unsigned long long>(rings_[t].popped()));
+            if (columns)
+                columns(t);
+        });
     panic("%s", why.c_str());
-}
-
-void
-LifeguardThreads::dumpFrontiers(const char *engine, Cycle watermark,
-                                const StreamColumns &columns) const
-{
-    std::fprintf(stderr, "=== %s watchdog state dump ===\nwatermark=%llu\n",
-                 engine, static_cast<unsigned long long>(watermark));
-    for (ThreadId t = 0; t < k_; ++t) {
-        CaptureUnit &c = *captures_[t];
-        std::fprintf(
-            stderr,
-            "stream %u: appended=%llu bufSize=%zu visLimit=%llu "
-            "frontier=%llu overflow=%zu | ring pub=%llu pop=%llu | "
-            "done=%llu lgFinished=%d",
-            t, static_cast<unsigned long long>(c.buffer().appended()),
-            c.buffer().size(),
-            static_cast<unsigned long long>(c.visibilityLimit()),
-            static_cast<unsigned long long>(c.ceilingBound()),
-            c.overflowSize(),
-            static_cast<unsigned long long>(rings_[t].published()),
-            static_cast<unsigned long long>(rings_[t].popped()),
-            static_cast<unsigned long long>(progress_.done(t)),
-            cores_[t]->finished() ? 1 : 0);
-        if (columns)
-            columns(t);
-        std::fprintf(stderr, "\n");
-    }
 }
 
 } // namespace paralog

@@ -23,7 +23,8 @@
  * at finish(); the "lg.fail" fault point panics the consumer of the
  * named stream; "seal.stall" never publishes the named stream; and a
  * stall after the producer finished trips a 2 ms-sampled watchdog that
- * dumps every stream's publication frontier and panics.
+ * dumps every stream's wait state and publication frontier
+ * (Monitor::dump, shared with the serial scheduler) and panics.
  */
 
 #ifndef PARALOG_CORE_LIFEGUARD_THREADS_HPP
@@ -41,8 +42,6 @@
 
 #include "common/spsc_ring.hpp"
 #include "core/lifeguard_core.hpp"
-#include "deliver/progress_table.hpp"
-#include "lifeguard/version_store.hpp"
 
 namespace paralog {
 
@@ -60,10 +59,8 @@ class LifeguardThreads
      * cross-thread read pairs may touch the same granule state, and
      * user-defined lifeguards declare no policy bit to rule that out.
      */
-    LifeguardThreads(const std::vector<std::unique_ptr<CaptureUnit>> &captures,
-                     const std::vector<std::unique_ptr<LifeguardCore>> &cores,
-                     const ProgressTable &progress, VersionStore &versions,
-                     std::uint32_t threads, bool serialize_steps);
+    LifeguardThreads(Monitor &monitor, std::uint32_t threads,
+                     bool serialize_steps);
     /** Stops the consumers and detaches the rings. */
     ~LifeguardThreads();
     LifeguardThreads(const LifeguardThreads &) = delete;
@@ -98,19 +95,17 @@ class LifeguardThreads
     void finish(const char *engine, std::uint64_t stall_watchdog_iters,
                 const StreamColumns &columns);
 
-    /** Stop the consumers, dump the frontiers, then panic with @p why:
-     *  panic may throw, and must not unwind past running workers. */
+    /** Stop the consumers, dump every stream's wait state and ring
+     *  frontier, then panic with @p why: panic may throw, and must not
+     *  unwind past running workers. */
     [[noreturn]] void fail(const char *engine, const std::string &why,
                            Cycle watermark, const StreamColumns &columns);
 
   private:
     void consumerBody(std::uint32_t slot);
-    void dumpFrontiers(const char *engine, Cycle watermark,
-                       const StreamColumns &columns) const;
 
+    const Monitor &mon_;
     const std::vector<std::unique_ptr<CaptureUnit>> &captures_;
-    const std::vector<std::unique_ptr<LifeguardCore>> &cores_;
-    const ProgressTable &progress_;
     Counter &produced_;
     Counter &consumed_;
     const std::uint32_t k_;

@@ -20,7 +20,8 @@ packFilterBits(const EventFilter &f)
 
 } // namespace
 
-Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
+Platform::Platform(PlatformConfig cfg)
+    : cfg_(std::move(cfg)), env_(AddressLayout::env(cfg_))
 {
     PARALOG_ASSERT(cfg_.sim.mode != MonitorMode::kTimesliced,
                    "use Timesliced for the timesliced baseline");
@@ -32,21 +33,13 @@ Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
     heap_ = std::make_unique<Heap>(AddressLayout::kHeapBase,
                                    AddressLayout::kHeapBytes, k);
 
-    env_.heapBase = AddressLayout::kHeapBase;
-    env_.heapBytes = AddressLayout::kHeapBytes;
-    env_.globalBase = AddressLayout::kGlobalBase;
-    env_.lockBase = AddressLayout::kLockBase;
-    env_.barrierBase = AddressLayout::kBarrierBase;
-    env_.numThreads = k;
-    env_.scale = cfg_.scale;
-    env_.seed = cfg_.sim.seed;
-
     if (monitoring) {
-        lifeguard_ = cfg_.customLifeguard
-                         ? cfg_.customLifeguard(k)
-                         : makeLifeguard(cfg_.lifeguard, k,
-                                         cfg_.sim.effectiveShadowShards(k));
-        policy_ = lifeguard_->policy();
+        mon_.lifeguard =
+            cfg_.customLifeguard
+                ? cfg_.customLifeguard(k)
+                : makeLifeguard(cfg_.lifeguard, k,
+                                cfg_.sim.effectiveShadowShards(k));
+        policy_ = mon_.lifeguard->policy();
         if (concurrentLive()) {
             // The host-parallel live engine relies on the CA barriers
             // to order cross-stream delivery (it cannot fall back to
@@ -55,7 +48,7 @@ Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
             PARALOG_ASSERT(cfg_.sim.conflictAlerts,
                            "live --lg-threads requires ConflictAlert "
                            "broadcasts enabled");
-            lifeguard_->shadow().setConcurrent(true);
+            mon_.lifeguard->shadow().setConcurrent(true);
         }
     }
 
@@ -72,8 +65,8 @@ Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
                                             *heap_, locks_, barriers_,
                                             *this);
 
-    progress_ = std::make_unique<ProgressTable>(k);
-    caMgr_ = std::make_unique<CaManager>(k);
+    mon_.progress = std::make_unique<ProgressTable>(k);
+    mon_.caMgr = std::make_unique<CaManager>(k);
 
     std::shared_ptr<Workload> workload = cfg_.customWorkload;
     if (!workload)
@@ -95,14 +88,14 @@ Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
 
     for (ThreadId t = 0; t < k; ++t) {
         if (monitoring) {
-            captures_.push_back(
+            mon_.captures.push_back(
                 std::make_unique<CaptureUnit>(t, cfg_.sim, filter));
             if (cfg_.traceCapture)
-                captures_.back()->setTraceSink(&trace_);
+                mon_.captures.back()->setTraceSink(&trace_);
             if (cfg_.recorder)
-                captures_.back()->setJournal(cfg_.recorder);
+                mon_.captures.back()->setJournal(cfg_.recorder);
         } else {
-            captures_.push_back(nullptr);
+            mon_.captures.push_back(nullptr);
         }
 
         auto tc = std::make_unique<ThreadContext>(
@@ -117,7 +110,7 @@ Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
             };
         }
         appCores_.push_back(std::make_unique<AppCore>(
-            t, std::move(tc), captures_[t].get(), *interp_, *mem_,
+            t, std::move(tc), mon_.captures[t].get(), *interp_, *mem_,
             cfg_.sim, monitoring, std::move(ca_fn)));
     }
 
@@ -127,16 +120,16 @@ Platform::Platform(PlatformConfig cfg) : cfg_(std::move(cfg))
             // timed memory hierarchy is single-threaded simulation
             // state, so host-parallel lifeguard cores run with untimed
             // metadata accesses (exactly like concurrent replay).
-            lgCores_.push_back(std::make_unique<LifeguardCore>(
-                k + t, t, cfg_.sim, *captures_[t], *progress_, *caMgr_,
-                *lifeguard_, concurrentLive() ? nullptr : mem_.get(),
-                versions_, 1));
+            mon_.lgCores.push_back(std::make_unique<LifeguardCore>(
+                k + t, t, cfg_.sim, *mon_.captures[t], *mon_.progress,
+                *mon_.caMgr, *mon_.lifeguard,
+                concurrentLive() ? nullptr : mem_.get(), mon_.versions, 1));
             if (trace::TraceRecorder *rec = cfg_.recorder;
                 rec && !concurrentLive()) {
                 // The latency sideband describes the serial schedule's
                 // metadata access sequence; live-parallel recordings
                 // carry none (replay re-monitors them result-only).
-                lgCores_.back()->ctx().setMetaLatencyTee(
+                mon_.lgCores.back()->ctx().setMetaLatencyTee(
                     [rec, t](Cycle latency) {
                         rec->onMetaLatency(t, latency);
                     });
@@ -169,17 +162,17 @@ Platform::caBroadcast(ThreadId tid, RecordId rid, HighLevelKind kind,
 
     std::vector<CaptureUnit *> units;
     std::vector<bool> alive;
-    units.reserve(captures_.size());
-    for (ThreadId t = 0; t < captures_.size(); ++t) {
-        units.push_back(captures_[t].get());
+    units.reserve(mon_.captures.size());
+    for (ThreadId t = 0; t < mon_.captures.size(); ++t) {
+        units.push_back(mon_.captures[t].get());
         alive.push_back(appCores_[t]->active());
     }
-    Cycle lat = caMgr_->broadcast(tid, rid, kind, range, units, alive);
-    std::uint64_t seq = caMgr_->issued() - 1;
+    Cycle lat = mon_.caMgr->broadcast(tid, rid, kind, range, units, alive);
+    std::uint64_t seq = mon_.caMgr->issued() - 1;
 
     // Annotate the issuer's high-level record so its lifeguard enforces
     // the issuer half of the barrier.
-    if (EventRecord *rec = captures_[tid]->buffer().findByRid(rid))
+    if (EventRecord *rec = mon_.captures[tid]->buffer().findByRid(rid))
         rec->caSeq = seq;
     // Journal the barrier bookkeeping (the arrival records themselves
     // were journalled by the appendCa calls above). Copy-out lookup:
@@ -191,7 +184,7 @@ Platform::caBroadcast(ThreadId tid, RecordId rid, HighLevelKind kind,
         CaBroadcast b;
         // Always live here: the CA records that let consumers retire
         // the entry are still unpublished in the issuing step.
-        PARALOG_ASSERT(caMgr_->lookup(seq, b),
+        PARALOG_ASSERT(mon_.caMgr->lookup(seq, b),
                        "CA broadcast %llu retired before journaling",
                        static_cast<unsigned long long>(seq));
         cfg_.recorder->onCaBroadcast(b);
@@ -208,300 +201,116 @@ Platform::lifeguardDrained(ThreadId tid)
     // mode (no ring attached), but safe for the concurrent live engine,
     // where this hook runs on the producer thread and must not touch
     // the ring's consumer face.
-    return captures_[tid]->drainedForSyscall();
+    return mon_.captures[tid]->drainedForSyscall();
 }
 
 void
 Platform::attachArcsToPending(ThreadId tid, RecordId rid,
                               const std::vector<RawArc> &arcs)
 {
-    if (captures_[tid])
-        captures_[tid]->attachArcs(rid, arcs);
+    if (mon_.captures[tid])
+        mon_.captures[tid]->attachArcs(rid, arcs);
 }
 
 void
 Platform::onScViolation(ThreadId writer_tid, RecordId writer_rid, Addr addr,
                         std::uint8_t size, const VersionRequest &reader)
 {
-    if (!captures_[writer_tid] || !captures_[reader.readerTid])
+    if (!mon_.captures[writer_tid] || !mon_.captures[reader.readerTid])
         return;
     VersionTag v{reader.readerTid, reader.readerRid};
     // Annotate the reader's pending load first; if it was already
     // consumed the reader's lifeguard read the pre-overwrite metadata,
     // which is exactly the versioned value — nothing to do.
-    if (!captures_[reader.readerTid]->annotateConsume(reader.readerRid, v))
+    if (!mon_.captures[reader.readerTid]->annotateConsume(reader.readerRid, v))
         return;
-    captures_[writer_tid]->insertProduceBefore(writer_rid, v, addr, size);
+    mon_.captures[writer_tid]->insertProduceBefore(writer_rid, v, addr, size);
 }
 
 void
 Platform::setVisibilityLimit(ThreadId tid, RecordId limit)
 {
-    if (tid < captures_.size() && captures_[tid])
-        captures_[tid]->setVisibilityLimit(limit);
-}
-
-void
-Platform::dumpStuckState() const
-{
-    std::fprintf(stderr, "=== watchdog state dump ===\n");
-    for (ThreadId t = 0; t < captures_.size(); ++t) {
-        const AppCore &ac = *appCores_[t];
-        std::fprintf(stderr,
-                     "app %u: active=%d retired=%llu reason=%d "
-                     "busyUntil=%llu",
-                     t, ac.active() ? 1 : 0,
-                     static_cast<unsigned long long>(
-                         appCores_[t]->tc().retired),
-                     static_cast<int>(appCores_[t]->tc().blockReason),
-                     static_cast<unsigned long long>(ac.busyUntil));
-        if (tsoPath_) {
-            std::fprintf(stderr, " storeBuf=%zu",
-                         tsoPath_->depth(static_cast<CoreId>(t)));
-        }
-        std::fprintf(stderr, "\n");
-        if (!captures_[t])
-            continue;
-        std::fprintf(stderr,
-                     "  stream: size=%zu visLimit=%llu done=%llu\n",
-                     captures_[t]->buffer().size(),
-                     static_cast<unsigned long long>(
-                         captures_[t]->visibilityLimit()),
-                     static_cast<unsigned long long>(progress_->done(t)));
-        if (t < lgCores_.size() && lgCores_[t]) {
-            const OrderEnforcer &oe = lgCores_[t]->enforcer();
-            std::fprintf(
-                stderr, "  wait: %s sameRecordRetries=%llu busyUntil=%llu\n",
-                toString(oe.lastStatus()),
-                static_cast<unsigned long long>(
-                    oe.sameRecordStallRetries()),
-                static_cast<unsigned long long>(lgCores_[t]->busyUntil));
-        }
-        const EventRecord *front = captures_[t]->buffer().peek();
-        if (front) {
-            std::fprintf(stderr, "  front: type=%s rid=%llu arcs=[",
-                         toString(front->type),
-                         static_cast<unsigned long long>(front->rid));
-            for (const DepArc &a : front->arcs) {
-                std::fprintf(stderr, "(%u,%llu)", a.tid,
-                             static_cast<unsigned long long>(a.rid));
-            }
-            std::fprintf(stderr, "] caSeq=%llu consumesV=%d\n",
-                         static_cast<unsigned long long>(front->caSeq),
-                         front->consumesVersion ? 1 : 0);
-        }
-    }
-    std::fprintf(stderr, "version store: %zu live entr%s\n",
-                 versions_.size(), versions_.size() == 1 ? "y" : "ies");
-    versions_.forEach([](const VersionTag &tag,
-                         const VersionStore::Versioned &v) {
-        std::fprintf(stderr,
-                     "  (tid=%u rid=%llu): addr=0x%llx size=%u "
-                     "writerDone=%d bits=0x%llx\n",
-                     tag.tid, static_cast<unsigned long long>(tag.rid),
-                     static_cast<unsigned long long>(v.addr), v.size,
-                     v.writerDone ? 1 : 0,
-                     static_cast<unsigned long long>(v.bits));
-    });
-}
-
-bool
-Platform::allDone() const
-{
-    for (const auto &core : appCores_) {
-        if (core->active())
-            return false;
-    }
-    for (const auto &core : lgCores_) {
-        if (!core->finished())
-            return false;
-    }
-    return true;
+    if (tid < mon_.captures.size() && mon_.captures[tid])
+        mon_.captures[tid]->setVisibilityLimit(limit);
 }
 
 RunResult
 Platform::run()
 {
-    return concurrentLive() ? runConcurrentLive() : runSerial();
+    if (concurrentLive())
+        return runConcurrentLive();
+    SerialScheduler scheduler(RunGuard("live", "deadlock or runaway workload",
+                                       cfg_.maxCycles,
+                                       cfg_.stallWatchdogIters),
+                              mon_);
+    return collectResult(scheduler.run(*this));
 }
 
 RunResult
 Platform::collectResult(Cycle total_cycles)
 {
-    RunResult result;
-    result.totalCycles = total_cycles;
+    RunResult result = mon_.result(total_cycles);
     for (auto &c : appCores_) {
         c->stats.programInsts = c->tc().programInsts;
         result.app.push_back(c->stats);
     }
-    for (auto &c : lgCores_) {
-        result.lifeguard.push_back(c->stats);
-        result.versionStallRetries +=
-            c->enforcer().stats.get("version_stalls");
-    }
-    result.versionsProduced = versions_.stats.counter("produced").value();
-    result.versionsConsumed = versions_.stats.counter("consumed").value();
-    if (lifeguard_) {
-        result.violationCount = lifeguard_->violations.count();
-        result.violationFingerprint =
-            lifeguard_->violations.setFingerprint();
-    }
     return result;
 }
 
-RunResult
-Platform::runSerial()
+Cycle
+Platform::drainReady() const
 {
-    Cycle now = 0;
-    Cycle last_now = 0;
-    std::uint64_t same_now_iters = 0;
-
-    // The scheduler loop runs once per simulated event; keep its scans
-    // over flat raw-pointer arrays.
-    std::vector<AppCore *> apps;
-    std::vector<LifeguardCore *> lgs;
-    apps.reserve(appCores_.size());
-    lgs.reserve(lgCores_.size());
-    for (auto &c : appCores_)
-        apps.push_back(c.get());
-    for (auto &c : lgCores_)
-        lgs.push_back(c.get());
-
-    auto all_done = [&apps, &lgs] {
-        for (const AppCore *c : apps) {
-            if (c->active())
-                return false;
-        }
-        for (const LifeguardCore *c : lgs) {
-            if (!c->finished())
-                return false;
-        }
-        return true;
-    };
-
-    // Progress watchdog: a deadlocked versioning/ordering protocol shows
-    // up as a retry loop that keeps simulated time advancing forever, so
-    // neither the livelock detector nor maxCycles catches it in useful
-    // time. Hash global forward progress every iteration; if nothing
-    // moves for stallWatchdogIters iterations, panic with the full
-    // wait-state dump instead of grinding toward maxCycles.
-    // Sampled every 64 iterations so the signature never shows up in
-    // the scheduler loop's profile.
-    ProgressWatchdog stall_watchdog(cfg_.stallWatchdogIters / 64 + 1);
-    std::uint64_t watchdog_tick = 0;
-    Counter &produced_ctr = versions_.stats.counter("produced");
-    Counter &consumed_ctr = versions_.stats.counter("consumed");
-    auto progress_signature = [&] {
-        std::uint64_t sig = produced_ctr.value() + consumed_ctr.value();
-        for (const AppCore *c : apps)
-            sig += c->tc().retired;
-        for (const LifeguardCore *c : lgs)
-            sig += c->stats.recordsProcessed;
-        for (ThreadId t = 0; t < progress_->size(); ++t)
-            sig += progress_->done(t);
-        return sig;
-    };
-
-    while (!all_done()) {
-        // Livelock detector: simulated time must advance.
-        if (now == last_now) {
-            if (++same_now_iters > 20'000'000) {
-                dumpStuckState();
-                panic("livelock: cycle %llu never advances",
-                      static_cast<unsigned long long>(now));
-            }
-        } else {
-            last_now = now;
-            same_now_iters = 0;
-        }
-        if ((++watchdog_tick & 63) == 0 &&
-            stall_watchdog.poll(progress_signature())) {
-            dumpStuckState();
-            panic("progress watchdog: no forward progress in %llu "
-                  "scheduler iterations at cycle %llu (protocol "
-                  "deadlock)",
-                  static_cast<unsigned long long>(
-                      cfg_.stallWatchdogIters),
-                  static_cast<unsigned long long>(now));
-        }
-        // Event-driven advance: jump to the earliest ready core.
-        Cycle next = kInvalidRecord;
-        for (AppCore *c : apps) {
-            if (c->active())
-                next = std::min(next, c->busyUntil);
-        }
-        for (LifeguardCore *c : lgs) {
-            if (!c->finished())
-                next = std::min(next, c->busyUntil);
-        }
-        if (next > now)
-            now = next;
-        // Journal phase stamp: every producer-side op recorded during
-        // this iteration's application/pump phase carries (now, count
-        // of lifeguard steps so far), which is exactly what the replay
-        // scheduler needs to interleave ops and lifeguard steps in the
-        // recorded order (core/replay.cpp).
-        if (cfg_.recorder)
-            cfg_.recorder->setNow(now);
-
-        if (now > cfg_.maxCycles) {
-            dumpStuckState();
-            panic("simulation watchdog: no completion after %llu cycles "
-                  "(deadlock or runaway workload)",
-                  static_cast<unsigned long long>(cfg_.maxCycles));
-        }
-
-        for (AppCore *c : apps) {
-            if (c->active() && c->busyUntil <= now)
-                c->step(now);
-        }
-        if (tsoPath_) {
-            for (CoreId core = 0; core < cfg_.sim.appThreads; ++core)
-                tsoPath_->pump(core, now);
-        }
-
-        // Solo-horizon for lifeguard delivery batching: the earliest
-        // time any application core or pending TSO store drain can act.
-        // (One drain retires per loop iteration, so a ready drain pins
-        // the horizon to `now` and keeps the iteration cadence exact.)
-        // Computed lazily: most iterations step no lifeguard core.
-        Cycle actor_horizon = 0;
-        bool horizon_valid = false;
-        for (std::size_t i = 0; i < lgs.size(); ++i) {
-            LifeguardCore *c = lgs[i];
-            if (c->finished() || c->busyUntil > now)
-                continue;
-            if (!horizon_valid) {
-                actor_horizon = ~Cycle{0};
-                for (const AppCore *a : apps) {
-                    if (a->active())
-                        actor_horizon =
-                            std::min(actor_horizon, a->busyUntil);
-                }
-                if (tsoPath_) {
-                    for (CoreId core = 0; core < cfg_.sim.appThreads;
-                         ++core) {
-                        actor_horizon = std::min(
-                            actor_horizon, tsoPath_->nextDrainReady(core));
-                    }
-                }
-                horizon_valid = true;
-            }
-            // Other lifeguard cores are actors too: a peer that is
-            // ready (or becomes ready inside the window) bounds the
-            // batch so same-cycle interleaving stays exact.
-            Cycle horizon = actor_horizon;
-            for (std::size_t j = 0; j < lgs.size(); ++j) {
-                if (j != i && !lgs[j]->finished())
-                    horizon = std::min(horizon, lgs[j]->busyUntil);
-            }
-            c->step(now, horizon);
-            if (cfg_.recorder)
-                cfg_.recorder->noteLgStep();
-        }
+    Cycle next = ~Cycle{0};
+    if (tsoPath_) {
+        for (CoreId core = 0; core < cfg_.sim.appThreads; ++core)
+            next = std::min(next, tsoPath_->nextDrainReady(core));
     }
+    return next;
+}
 
-    return collectResult(now);
+void
+Platform::produce(Cycle now, std::uint64_t)
+{
+    // Journal phase stamp: every producer-side op recorded during this
+    // phase carries (now, count of lifeguard steps so far), which is
+    // exactly what the replay scheduler needs to interleave ops and
+    // lifeguard steps in the recorded order (core/replay.cpp).
+    if (cfg_.recorder)
+        cfg_.recorder->setNow(now);
+    for (auto &c : appCores_) {
+        if (c->active() && c->busyUntil <= now)
+            c->step(now);
+    }
+    if (tsoPath_) {
+        for (CoreId core = 0; core < cfg_.sim.appThreads; ++core)
+            tsoPath_->pump(core, now);
+    }
+}
+
+void
+Platform::lgStepped()
+{
+    if (cfg_.recorder)
+        cfg_.recorder->noteLgStep();
+}
+
+void
+Platform::dumpColumns(ThreadId t) const
+{
+    const AppCore &ac = *appCores_[t];
+    std::fprintf(stderr,
+                 " | app active=%d retired=%llu reason=%d busyUntil=%llu",
+                 ac.active() ? 1 : 0,
+                 static_cast<unsigned long long>(ac.tc().retired),
+                 static_cast<int>(ac.tc().blockReason),
+                 static_cast<unsigned long long>(ac.busyUntil));
+    if (tsoPath_) {
+        const CoreId core = static_cast<CoreId>(t);
+        std::fprintf(stderr, " storeBuf=%zu oldestRetire=%llu",
+                     tsoPath_->depth(core),
+                     static_cast<unsigned long long>(
+                         tsoPath_->oldestStoreRetire(core)));
+    }
 }
 
 } // namespace paralog

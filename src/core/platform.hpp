@@ -6,6 +6,13 @@
  * dependence arcs, a global progress table, ConflictAlert broadcasting,
  * and (under TSO) the versioned-metadata protocol.
  *
+ * The platform is the *producer* of a live run: it steps the
+ * application cores, pumps the TSO store buffers and stamps the
+ * recorder. The serial scheduler (core/serial_scheduler.hpp) drives it
+ * and the lifeguard cores on one clock; the concurrent live engine
+ * (core/platform_concurrent.cpp) drives it on the calling thread while
+ * host threads run the lifeguard cores.
+ *
  * Also runs the NO-MONITORING baseline (application alone on k cores).
  * The TIMESLICED baseline lives in core/timesliced.hpp.
  */
@@ -25,6 +32,7 @@
 #include "core/app_core.hpp"
 #include "core/lifeguard_core.hpp"
 #include "core/run_stats.hpp"
+#include "core/serial_scheduler.hpp"
 #include "deliver/ca_manager.hpp"
 #include "deliver/progress_table.hpp"
 #include "lifeguard/version_store.hpp"
@@ -83,36 +91,6 @@ struct PlatformConfig
     std::uint32_t lgThreads = 0;
 };
 
-/**
- * Detects a wedged simulation: feed a cheap signature of global
- * progress every scheduler iteration; fires once the signature has not
- * changed for `limit` consecutive polls. Pure bookkeeping (no time
- * source), so runs stay deterministic.
- */
-class ProgressWatchdog
-{
-  public:
-    explicit ProgressWatchdog(std::uint64_t limit) : limit_(limit) {}
-
-    bool
-    poll(std::uint64_t signature)
-    {
-        if (signature != last_) {
-            last_ = signature;
-            same_ = 0;
-            return false;
-        }
-        return ++same_ >= limit_;
-    }
-
-    std::uint64_t idlePolls() const { return same_; }
-
-  private:
-    std::uint64_t limit_;
-    std::uint64_t last_ = ~0ULL;
-    std::uint64_t same_ = 0;
-};
-
 /** Default simulated address layout. */
 struct AddressLayout
 {
@@ -121,6 +99,14 @@ struct AddressLayout
     static constexpr Addr kBarrierBase = 0x0310'0000;
     static constexpr Addr kHeapBase = 0x0400'0000;
     static constexpr std::uint64_t kHeapBytes = 48ULL << 20;
+
+    /** What the workload of a run configured by @p cfg sees. */
+    static WorkloadEnv
+    env(const PlatformConfig &cfg)
+    {
+        return {kHeapBase, kHeapBytes, kGlobalBase, kLockBase, kBarrierBase,
+                cfg.sim.appThreads, cfg.scale, cfg.sim.seed};
+    }
 };
 
 class Platform : public PlatformHooks, public TsoHooks
@@ -151,13 +137,13 @@ class Platform : public PlatformHooks, public TsoHooks
                        const VersionRequest &reader) override;
     void setVisibilityLimit(ThreadId tid, RecordId limit) override;
 
-    Lifeguard &lifeguard() { return *lifeguard_; }
+    Lifeguard &lifeguard() { return *mon_.lifeguard; }
     Heap &heap() { return *heap_; }
     MemorySystem &memory() { return *mem_; }
-    CaManager &caManager() { return *caMgr_; }
-    VersionStore &versions() { return versions_; }
-    CaptureUnit &capture(ThreadId tid) { return *captures_[tid]; }
-    LifeguardCore &lifeguardCore(ThreadId tid) { return *lgCores_[tid]; }
+    CaManager &caManager() { return *mon_.caMgr; }
+    VersionStore &versions() { return mon_.versions; }
+    CaptureUnit &capture(ThreadId tid) { return *mon_.captures[tid]; }
+    LifeguardCore &lifeguardCore(ThreadId tid) { return *mon_.lgCores[tid]; }
     AppCore &appCore(ThreadId tid) { return *appCores_[tid]; }
     TraceSink &trace() { return trace_; }
     const WorkloadEnv &env() const { return env_; }
@@ -166,14 +152,40 @@ class Platform : public PlatformHooks, public TsoHooks
   private:
     Cycle caBroadcast(ThreadId tid, RecordId rid, HighLevelKind kind,
                       const AddrRange &range);
-    bool allDone() const;
-    void dumpStuckState() const;
-    RunResult runSerial();
     /// Implemented in core/platform_concurrent.cpp.
     RunResult runConcurrentLive();
-    /// Shared result assembly (per-core stats, version counters,
-    /// violation fingerprint).
     RunResult collectResult(Cycle total_cycles);
+
+    // --- producer (core/serial_scheduler.hpp) ---
+    friend class SerialScheduler;
+    /// The earliest active application core. Time advance ignores TSO
+    /// drains: one retires per pump, riding other actors' iterations.
+    Cycle
+    nextReady() const
+    {
+        Cycle next = ~Cycle{0};
+        for (const auto &c : appCores_) {
+            if (c->active())
+                next = std::min(next, c->busyUntil);
+        }
+        return next;
+    }
+    Cycle drainReady() const; ///< earliest store drain (~0 under SC)
+    /// Stamp the recorder, step the ready cores, pump the store buffers.
+    void produce(Cycle now, std::uint64_t lg_steps);
+    /// A ready drain pins the horizon to `now`, keeping the iteration
+    /// cadence exact.
+    Cycle horizon() const { return std::min(nextReady(), drainReady()); }
+    void lgStepped(); ///< the journal's lifeguard-step count
+    std::uint64_t
+    producerSignature(std::uint64_t) const
+    {
+        std::uint64_t retired = 0;
+        for (const auto &c : appCores_)
+            retired += c->tc().retired;
+        return retired;
+    }
+    void dumpColumns(ThreadId t) const;
 
     PlatformConfig cfg_;
     LifeguardPolicy policy_;
@@ -187,14 +199,8 @@ class Platform : public PlatformHooks, public TsoHooks
     TsoDataPath *tsoPath_ = nullptr; ///< non-null iff TSO
     std::unique_ptr<Interpreter> interp_;
 
-    std::unique_ptr<Lifeguard> lifeguard_;
-    std::unique_ptr<ProgressTable> progress_;
-    std::unique_ptr<CaManager> caMgr_;
-    VersionStore versions_;
-
-    std::vector<std::unique_ptr<CaptureUnit>> captures_;
+    Monitor mon_;
     std::vector<std::unique_ptr<AppCore>> appCores_;
-    std::vector<std::unique_ptr<LifeguardCore>> lgCores_;
     TraceSink trace_;
 };
 

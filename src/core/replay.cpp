@@ -158,12 +158,12 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
                        "with ConflictAlert broadcasts enabled");
     }
 
-    lifeguard_ = makeLifeguard(lifeguardKind_, k_,
-                               sim_.effectiveShadowShards(k_));
+    mon_.lifeguard = makeLifeguard(lifeguardKind_, k_,
+                                   sim_.effectiveShadowShards(k_));
     if (concurrent())
-        lifeguard_->shadow().setConcurrent(true);
-    progress_ = std::make_unique<ProgressTable>(k_);
-    caMgr_ = std::make_unique<CaManager>(k_);
+        mon_.lifeguard->shadow().setConcurrent(true);
+    mon_.progress = std::make_unique<ProgressTable>(k_);
+    mon_.caMgr = std::make_unique<CaManager>(k_);
 
     if (!sameLifeguard_) {
         // Fresh metadata hierarchy: plausible timing, no recorded
@@ -171,7 +171,7 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
         // matches the recorded lifeguard's access sequence only).
         mem_ = std::make_unique<MemorySystem>(sim_, sim_.totalCores());
 
-        const LifeguardPolicy policy = lifeguard_->policy();
+        const LifeguardPolicy policy = mon_.lifeguard->policy();
         std::uint8_t bits = tc.filterBits;
         if ((policy.wantsRegOps && !(bits & trace::kFilterRegOps)) ||
             (policy.wantsJumps && !(bits & trace::kFilterJumps)) ||
@@ -181,10 +181,6 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
                  "are approximate",
                  toString(tc.lifeguard), toString(lifeguardKind_));
         }
-    }
-
-    if (!sameLifeguard_) {
-        const LifeguardPolicy policy = lifeguard_->policy();
         filter_.regOps = policy.wantsRegOps;
         filter_.jumps = policy.wantsJumps;
         filter_.heapOnly = policy.heapOnly;
@@ -193,8 +189,8 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
                       AddressLayout::kHeapBase + AddressLayout::kHeapBytes};
     }
 
-    captures_.reserve(k_);
-    lgCores_.reserve(k_);
+    mon_.captures.reserve(k_);
+    mon_.lgCores.reserve(k_);
     replayCores_.reserve(k_);
     latStreams_.reserve(k_);
     for (ThreadId t = 0; t < k_; ++t) {
@@ -202,24 +198,24 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
         // replays feed the journal verbatim (it already holds the
         // recorded post-filter records); cross-monitor replays
         // re-filter in the ReplayCore.
-        captures_.push_back(
+        mon_.captures.push_back(
             std::make_unique<CaptureUnit>(t, sim_, EventFilter{}));
         replayCores_.push_back(std::make_unique<ReplayCore>(
-            t, reader_, *captures_[t], *caMgr_,
+            t, reader_, *mon_.captures[t], *mon_.caMgr,
             sameLifeguard_ ? nullptr : &filter_));
     }
     for (ThreadId t = 0; t < k_; ++t) {
-        lgCores_.push_back(std::make_unique<LifeguardCore>(
-            k_ + t, t, sim_, *captures_[t], *progress_, *caMgr_,
-            *lifeguard_, sameLifeguard_ ? nullptr : mem_.get(),
-            versions_, 1));
+        mon_.lgCores.push_back(std::make_unique<LifeguardCore>(
+            k_ + t, t, sim_, *mon_.captures[t], *mon_.progress, *mon_.caMgr,
+            *mon_.lifeguard, sameLifeguard_ ? nullptr : mem_.get(),
+            mon_.versions, 1));
         // The concurrent engine relaxes timing: no latency oracle (and
         // no memory system), so metadata accesses are untimed — the
         // recorded latency sideband describes the serial schedule's
         // access sequence, which concurrent delivery does not reproduce.
         if (sameLifeguard_ && !concurrent()) {
             latStreams_.push_back(reader_.latencyStream(t));
-            lgCores_.back()->ctx().setMetaLatencyOracle(
+            mon_.lgCores.back()->ctx().setMetaLatencyOracle(
                 [this, t]() -> Cycle {
                     Cycle latency = 0;
                     if (!latStreams_[t].next(latency))
@@ -235,211 +231,80 @@ ReplayPlatform::ReplayPlatform(ReplayConfig cfg)
 ReplayPlatform::~ReplayPlatform() = default;
 
 void
-ReplayPlatform::dumpStuckState(Cycle now, std::uint64_t lg_steps)
+ReplayPlatform::dumpColumns(ThreadId t)
 {
-    std::fprintf(stderr,
-                 "=== replay watchdog state dump (now=%llu lg_steps="
-                 "%llu) ===\n",
-                 static_cast<unsigned long long>(now),
-                 static_cast<unsigned long long>(lg_steps));
-    for (ThreadId t = 0; t < k_; ++t) {
-        const TraceOp *op = replayCores_[t]->peek();
-        if (op) {
-            std::fprintf(stderr,
-                         "replay %u: next op=%u gseq=%llu cycle=%llu "
-                         "lgStep=%llu\n",
-                         t, static_cast<unsigned>(op->op),
-                         static_cast<unsigned long long>(op->gseq),
-                         static_cast<unsigned long long>(op->cycle),
-                         static_cast<unsigned long long>(op->lgStep));
-        } else {
-            std::fprintf(stderr, "replay %u: journal exhausted\n", t);
-        }
+    if (const TraceOp *op = replayCores_[t]->peek()) {
         std::fprintf(stderr,
-                     "  stream: size=%zu visLimit=%llu done=%llu\n",
-                     captures_[t]->buffer().size(),
-                     static_cast<unsigned long long>(
-                         captures_[t]->visibilityLimit()),
-                     static_cast<unsigned long long>(progress_->done(t)));
-        const OrderEnforcer &oe = lgCores_[t]->enforcer();
-        std::fprintf(stderr,
-                     "  lg: finished=%d busyUntil=%llu wait=%s "
-                     "sameRecordRetries=%llu processed=%llu\n",
-                     lgCores_[t]->finished() ? 1 : 0,
-                     static_cast<unsigned long long>(
-                         lgCores_[t]->busyUntil),
-                     toString(oe.lastStatus()),
-                     static_cast<unsigned long long>(
-                         oe.sameRecordStallRetries()),
-                     static_cast<unsigned long long>(
-                         lgCores_[t]->stats.recordsProcessed));
-        if (const EventRecord *front = captures_[t]->buffer().peek()) {
-            std::fprintf(stderr, "  front: type=%s rid=%llu arcs=[",
-                         toString(front->type),
-                         static_cast<unsigned long long>(front->rid));
-            for (const DepArc &a : front->arcs)
-                std::fprintf(stderr, "(%u,%llu)", a.tid,
-                             static_cast<unsigned long long>(a.rid));
-            std::fprintf(stderr, "] caSeq=%llu consumesV=%d\n",
-                         static_cast<unsigned long long>(front->caSeq),
-                         front->consumesVersion ? 1 : 0);
-        }
+                     " | next op=%u gseq=%llu cycle=%llu lgStep=%llu",
+                     static_cast<unsigned>(op->op),
+                     static_cast<unsigned long long>(op->gseq),
+                     static_cast<unsigned long long>(op->cycle),
+                     static_cast<unsigned long long>(op->lgStep));
+    } else {
+        std::fprintf(stderr, " | journal exhausted");
     }
 }
 
 std::uint64_t
 ReplayPlatform::shadowFingerprint() const
 {
-    const ShadowMemory &s = lifeguard_->shadow();
+    const ShadowMemory &s = mon_.lifeguard->shadow();
     return paralog::shadowFingerprint(s, AddressLayout::kHeapBase,
                                       1 << 20) ^
            paralog::shadowFingerprint(s, AddressLayout::kGlobalBase,
                                       1 << 16);
 }
 
-RunResult
-ReplayPlatform::run()
+
+Cycle
+ReplayPlatform::nextReady()
 {
-    return concurrent() ? runConcurrent() : runSerial();
+    Cycle next = ~Cycle{0};
+    for (auto &p : replayCores_) {
+        if (const TraceOp *op = p->peek())
+            next = std::min(next, op->cycle);
+    }
+    return next;
+}
+
+void
+ReplayPlatform::produce(Cycle now, std::uint64_t lg_steps)
+{
+    // Ops stamped with a later lifeguard-step count wait: they were
+    // recorded in a later scheduler iteration at this same cycle, after
+    // lifeguard steps that have not run yet. (The step stamps describe
+    // the *recorded* lifeguard's cadence; replaying a different
+    // lifeguard ignores them and applies ops purely by cycle: its
+    // interleaving has no recording to match.)
+    for (;;) {
+        ReplayCore *best = nullptr;
+        std::uint64_t best_gseq = ~0ULL;
+        for (auto &p : replayCores_) {
+            const TraceOp *op = p->peek();
+            if (op && op->cycle <= now &&
+                (!sameLifeguard_ || op->lgStep <= lg_steps) &&
+                op->gseq < best_gseq) {
+                best = p.get();
+                best_gseq = op->gseq;
+            }
+        }
+        if (!best)
+            break;
+        best->apply();
+    }
 }
 
 RunResult
-ReplayPlatform::runSerial()
+ReplayPlatform::run()
 {
-    Cycle now = 0;
-    Cycle last_now = 0;
-    std::uint64_t same_now_iters = 0;
-    std::uint64_t lg_steps = 0;
-
-    std::vector<ReplayCore *> producers;
-    std::vector<LifeguardCore *> lgs;
-    for (auto &c : replayCores_)
-        producers.push_back(c.get());
-    for (auto &c : lgCores_)
-        lgs.push_back(c.get());
-
-    auto all_done = [&producers, &lgs] {
-        for (ReplayCore *p : producers) {
-            if (!p->done())
-                return false;
-        }
-        for (const LifeguardCore *c : lgs) {
-            if (!c->finished())
-                return false;
-        }
-        return true;
-    };
-
-    ProgressWatchdog stall_watchdog(cfg_.stallWatchdogIters / 64 + 1);
-    std::uint64_t watchdog_tick = 0;
-    Counter &produced_ctr = versions_.stats.counter("produced");
-    Counter &consumed_ctr = versions_.stats.counter("consumed");
-    auto progress_signature = [&] {
-        std::uint64_t sig = produced_ctr.value() + consumed_ctr.value() +
-                            lg_steps;
-        for (const LifeguardCore *c : lgs)
-            sig += c->stats.recordsProcessed;
-        for (ThreadId t = 0; t < progress_->size(); ++t)
-            sig += progress_->done(t);
-        return sig;
-    };
-
-    while (!all_done()) {
-        if (now == last_now) {
-            if (++same_now_iters > 20'000'000) {
-                dumpStuckState(now, lg_steps);
-                panic("replay livelock: cycle %llu never advances "
-                      "(journal/lifeguard divergence)",
-                      static_cast<unsigned long long>(now));
-            }
-        } else {
-            last_now = now;
-            same_now_iters = 0;
-        }
-        if ((++watchdog_tick & 63) == 0 &&
-            stall_watchdog.poll(progress_signature())) {
-            dumpStuckState(now, lg_steps);
-            panic("replay watchdog: no forward progress in %llu "
-                  "scheduler iterations at cycle %llu (journal/"
-                  "lifeguard divergence)",
-                  static_cast<unsigned long long>(
-                      cfg_.stallWatchdogIters),
-                  static_cast<unsigned long long>(now));
-        }
-
-        // Event-driven advance: the next producer op or lifeguard core.
-        Cycle next = kInvalidRecord;
-        for (ReplayCore *p : producers) {
-            if (const TraceOp *op = p->peek())
-                next = std::min(next, op->cycle);
-        }
-        for (LifeguardCore *c : lgs) {
-            if (!c->finished())
-                next = std::min(next, c->busyUntil);
-        }
-        if (next > now)
-            now = next;
-
-        if (now > cfg_.maxCycles)
-            panic("replay watchdog: no completion after %llu cycles",
-                  static_cast<unsigned long long>(cfg_.maxCycles));
-
-        // Producer phase: apply every journal op due at `now` whose
-        // recorded lifeguard-step stamp has been reached, in global
-        // journal order. Ops stamped with a later lifeguard-step count
-        // wait — they were recorded in a later scheduler iteration at
-        // this same cycle, after lifeguard steps that have not run yet.
-        // (The step stamps describe the *recorded* lifeguard's cadence;
-        // replaying a different lifeguard ignores them and applies ops
-        // purely by cycle — its interleaving has no recording to match.)
-        for (;;) {
-            ReplayCore *best = nullptr;
-            std::uint64_t best_gseq = ~0ULL;
-            for (ReplayCore *p : producers) {
-                const TraceOp *op = p->peek();
-                if (op && op->cycle <= now &&
-                    (!sameLifeguard_ || op->lgStep <= lg_steps) &&
-                    op->gseq < best_gseq) {
-                    best = p;
-                    best_gseq = op->gseq;
-                }
-            }
-            if (!best)
-                break;
-            best->apply();
-        }
-
-        // Lifeguard phase: identical to Platform::run, with the
-        // producers' next-op cycles as the application side of the
-        // solo-batching horizon. (A pending op gated on a future
-        // lifeguard step has cycle <= now, pinning the horizon to now —
-        // conservative, and batching is result-invariant.)
-        Cycle actor_horizon = 0;
-        bool horizon_valid = false;
-        for (std::size_t i = 0; i < lgs.size(); ++i) {
-            LifeguardCore *c = lgs[i];
-            if (c->finished() || c->busyUntil > now)
-                continue;
-            if (!horizon_valid) {
-                actor_horizon = ~Cycle{0};
-                for (ReplayCore *p : producers) {
-                    if (const TraceOp *op = p->peek())
-                        actor_horizon =
-                            std::min(actor_horizon, op->cycle);
-                }
-                horizon_valid = true;
-            }
-            Cycle horizon = actor_horizon;
-            for (std::size_t j = 0; j < lgs.size(); ++j) {
-                if (j != i && !lgs[j]->finished())
-                    horizon = std::min(horizon, lgs[j]->busyUntil);
-            }
-            c->step(now, horizon);
-            ++lg_steps;
-        }
-    }
-
-    RunResult result = collectResult(now);
+    if (concurrent())
+        return runConcurrent();
+    SerialScheduler scheduler(RunGuard("replay",
+                                       "journal/lifeguard divergence",
+                                       cfg_.maxCycles,
+                                       cfg_.stallWatchdogIters),
+                              mon_);
+    RunResult result = collectResult(scheduler.run(*this));
 
     // The oracle panics when a lifeguard performs *more* metadata
     // accesses than recorded; the opposite divergence — recorded
@@ -465,18 +330,8 @@ ReplayPlatform::runSerial()
 RunResult
 ReplayPlatform::collectResult(Cycle total_cycles)
 {
-    RunResult result;
-    result.totalCycles = total_cycles;
+    RunResult result = mon_.result(total_cycles);
     result.app = reader_.footer().app; // no application ran: recorded
-    for (auto &c : lgCores_) {
-        result.lifeguard.push_back(c->stats);
-        result.versionStallRetries +=
-            c->enforcer().stats.get("version_stalls");
-    }
-    result.versionsProduced = versions_.stats.counter("produced").value();
-    result.versionsConsumed = versions_.stats.counter("consumed").value();
-    result.violationCount = lifeguard_->violations.count();
-    result.violationFingerprint = lifeguard_->violations.setFingerprint();
     result.shadowFingerprint = shadowFingerprint();
     return result;
 }
@@ -538,15 +393,14 @@ ReplayPlatform::runConcurrent()
     // At least one consumer: live-parallel recordings select this engine
     // even when no --lg-threads was requested (see the constructor).
     LifeguardThreads pool(
-        captures_, lgCores_, *progress_, versions_,
-        std::max<std::uint32_t>(1, std::min(cfg_.lgThreads, k_)),
+        mon_, std::max<std::uint32_t>(1, std::min(cfg_.lgThreads, k_)),
         lifeguardKind_ == LifeguardKind::kLockSet);
 
     std::vector<RetireLog> retires(k_);
     auto watermark = [&] {
         Cycle w = ~Cycle{0};
         for (ThreadId t = 0; t < k_; ++t) {
-            RecordId limit = captures_[t]->visibilityLimit();
+            RecordId limit = mon_.captures[t]->visibilityLimit();
             if (limit != kInvalidRecord)
                 w = std::min(w, retires[t].retireCycle(limit));
         }
@@ -591,7 +445,7 @@ ReplayPlatform::runConcurrent()
         }
 
         if (held) {
-            CaptureUnit &reader = *captures_[held->tid];
+            CaptureUnit &reader = *mon_.captures[held->tid];
             const EventRecord *load =
                 reader.buffer().findByRidPreferMemAccess(held->rid);
             if (op.op == OpCode::kInsertProduce &&
@@ -612,7 +466,7 @@ ReplayPlatform::runConcurrent()
                                 op.op == OpCode::kVisLimit)) {
             // The drain raising the attempts ends by moving the draining
             // thread's limit, which until then still names the store.
-            CaptureUnit &writer = *captures_[t];
+            CaptureUnit &writer = *mon_.captures[t];
             if (EventRecord *store = writer.buffer().findStoreByRid(
                     writer.visibilityLimit()))
                 store->arcs.insert(store->arcs.end(), failed.begin(),
@@ -627,7 +481,7 @@ ReplayPlatform::runConcurrent()
             continue;
           case OpCode::kRetire:
             retires[t].onRetire(op.retired, op.cycle,
-                                captures_[t]->visibilityLimit());
+                                mon_.captures[t]->visibilityLimit());
             break;
           case OpCode::kVisLimit:
             retires[t].onVisLimit(op.visLimit);
@@ -639,22 +493,10 @@ ReplayPlatform::runConcurrent()
     }
 
     pool.finish("concurrent replay", cfg_.stallWatchdogIters,
-                [this](ThreadId t) {
-                    if (const TraceOp *op = replayCores_[t]->peek()) {
-                        std::fprintf(stderr,
-                                     " | next op=%u gseq=%llu cycle=%llu",
-                                     static_cast<unsigned>(op->op),
-                                     static_cast<unsigned long long>(
-                                         op->gseq),
-                                     static_cast<unsigned long long>(
-                                         op->cycle));
-                    } else {
-                        std::fprintf(stderr, " | journal exhausted");
-                    }
-                });
+                [this](ThreadId t) { dumpColumns(t); });
 
     Cycle total = 0;
-    for (auto &c : lgCores_)
+    for (auto &c : mon_.lgCores)
         total = std::max(total, c->busyUntil);
     RunResult result = collectResult(total);
     if (cfg_.verify)
@@ -667,35 +509,27 @@ ReplayPlatform::verifyAgainstFooter(const RunResult &result) const
 {
     const trace::TraceFooter &f = reader_.footer();
     const char *engine = concurrent_ ? "concurrent replay" : "replay";
-    auto mismatch = [engine](const char *what, std::uint64_t got,
-                             std::uint64_t want) {
-        panic("%s diverged from the recording: %s = %llu, recorded %llu",
-              engine, what, static_cast<unsigned long long>(got),
-              static_cast<unsigned long long>(want));
+    auto check = [engine](const char *what, std::uint64_t got,
+                          std::uint64_t want) {
+        if (got != want)
+            panic("%s diverged from the recording: %s = %llu, recorded "
+                  "%llu",
+                  engine, what, static_cast<unsigned long long>(got),
+                  static_cast<unsigned long long>(want));
     };
-    if (result.shadowFingerprint != f.shadowFingerprint)
-        mismatch("shadow fingerprint", result.shadowFingerprint,
-                 f.shadowFingerprint);
+    check("shadow fingerprint", result.shadowFingerprint,
+          f.shadowFingerprint);
     // Older recordings predate the footer's violation fingerprint.
-    if (f.hasViolationFingerprint &&
-        result.violationFingerprint != f.violationFingerprint)
-        mismatch("violation fingerprint", result.violationFingerprint,
-                 f.violationFingerprint);
-    if (result.versionsProduced != f.versionsProduced)
-        mismatch("versions produced", result.versionsProduced,
-                 f.versionsProduced);
-    if (result.versionsConsumed != f.versionsConsumed)
-        mismatch("versions consumed", result.versionsConsumed,
-                 f.versionsConsumed);
+    if (f.hasViolationFingerprint)
+        check("violation fingerprint", result.violationFingerprint,
+              f.violationFingerprint);
+    check("versions produced", result.versionsProduced, f.versionsProduced);
+    check("versions consumed", result.versionsConsumed, f.versionsConsumed);
     PARALOG_ASSERT(result.lifeguard.size() == f.lifeguard.size(),
                    "recorded lifeguard thread count mismatch");
-    for (std::size_t i = 0; i < f.lifeguard.size(); ++i) {
-        if (result.lifeguard[i].recordsProcessed !=
-            f.lifeguard[i].recordsProcessed)
-            mismatch("records processed",
-                     result.lifeguard[i].recordsProcessed,
-                     f.lifeguard[i].recordsProcessed);
-    }
+    for (std::size_t i = 0; i < f.lifeguard.size(); ++i)
+        check("records processed", result.lifeguard[i].recordsProcessed,
+              f.lifeguard[i].recordsProcessed);
     if (concurrent_) {
         // Violation *reports* are a delivery-schedule quantity: the
         // Idempotent Filters absorb repeated checks, and how many they
@@ -704,37 +538,26 @@ ReplayPlatform::verifyAgainstFooter(const RunResult &result) const
         // absorbed, though, so found-any must agree. Timing columns
         // are relaxed.
         if ((result.violationCount == 0) != (f.violations == 0))
-            mismatch("violations (found-any)", result.violationCount,
-                     f.violations);
+            check("violations (found-any)", result.violationCount,
+                  f.violations);
         return;
     }
-    if (result.totalCycles != f.totalCycles)
-        mismatch("total cycles", result.totalCycles, f.totalCycles);
-    if (result.violationCount != f.violations)
-        mismatch("violations", result.violationCount, f.violations);
-    if (result.versionStallRetries != f.versionStallRetries)
-        mismatch("version stall retries", result.versionStallRetries,
-                 f.versionStallRetries);
+    check("total cycles", result.totalCycles, f.totalCycles);
+    check("violations", result.violationCount, f.violations);
+    check("version stall retries", result.versionStallRetries,
+          f.versionStallRetries);
     for (std::size_t i = 0; i < f.lifeguard.size(); ++i) {
         const LifeguardThreadStats &got = result.lifeguard[i];
         const LifeguardThreadStats &want = f.lifeguard[i];
-        if (got.usefulCycles != want.usefulCycles)
-            mismatch("lifeguard useful cycles", got.usefulCycles,
-                     want.usefulCycles);
-        if (got.depStall != want.depStall)
-            mismatch("lifeguard dep stall", got.depStall, want.depStall);
-        if (got.caStall != want.caStall)
-            mismatch("lifeguard CA stall", got.caStall, want.caStall);
-        if (got.versionStall != want.versionStall)
-            mismatch("lifeguard version stall", got.versionStall,
-                     want.versionStall);
-        if (got.appStall != want.appStall)
-            mismatch("lifeguard app stall", got.appStall, want.appStall);
-        if (got.eventsHandled != want.eventsHandled)
-            mismatch("events handled", got.eventsHandled,
-                     want.eventsHandled);
-        if (got.doneAt != want.doneAt)
-            mismatch("lifeguard done cycle", got.doneAt, want.doneAt);
+        check("lifeguard useful cycles", got.usefulCycles,
+              want.usefulCycles);
+        check("lifeguard dep stall", got.depStall, want.depStall);
+        check("lifeguard CA stall", got.caStall, want.caStall);
+        check("lifeguard version stall", got.versionStall,
+              want.versionStall);
+        check("lifeguard app stall", got.appStall, want.appStall);
+        check("events handled", got.eventsHandled, want.eventsHandled);
+        check("lifeguard done cycle", got.doneAt, want.doneAt);
     }
 }
 

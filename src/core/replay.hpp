@@ -7,8 +7,10 @@
  * journalled producer-side stream mutations (appends, CA insertions,
  * TSO annotations, visibility-limit moves, retire ticks) at their
  * recorded simulated cycles — and, within a cycle, only after the
- * recorded number of global lifeguard steps, which reproduces the live
- * scheduler's producer/consumer interleaving exactly. The lifeguard
+ * recorded number of global lifeguard steps. The journal is a producer
+ * of the same serial scheduler that ran the live recording
+ * (core/serial_scheduler.hpp), so this reproduces the live
+ * producer/consumer interleaving exactly. The lifeguard
  * cores, order enforcers, accelerators, progress table, ConflictAlert
  * barriers and version store are the real ones, so when the recorded
  * lifeguard is replayed the delivery order, lifeguard results, shadow
@@ -130,7 +132,7 @@ class ReplayPlatform
     }
     LifeguardKind lifeguardKind() const { return lifeguardKind_; }
     bool replaysRecordedLifeguard() const { return sameLifeguard_; }
-    Lifeguard &lifeguard() { return *lifeguard_; }
+    Lifeguard &lifeguard() { return *mon_.lifeguard; }
 
     /** True when run() will use the host-parallel engine. Besides the
      *  explicit --lg-threads opt-in, recordings made by the live
@@ -148,13 +150,25 @@ class ReplayPlatform
     std::uint64_t shadowFingerprint() const;
 
   private:
-    RunResult runSerial();
     RunResult runConcurrent();
     RunResult collectResult(Cycle total_cycles);
     /// Every column for the serial engine; results only (no timing)
     /// for the concurrent one.
     void verifyAgainstFooter(const RunResult &result) const;
-    void dumpStuckState(Cycle now, std::uint64_t lg_steps);
+
+    // --- producer (core/serial_scheduler.hpp): the journal ---
+    friend class SerialScheduler;
+    Cycle nextReady(); ///< the earliest pending op's recorded cycle
+    /// Apply every op due at @p now whose recorded lifeguard-step stamp
+    /// @p lg_steps has reached, in global journal order.
+    void produce(Cycle now, std::uint64_t lg_steps);
+    /// A pending op gated on a future lifeguard step has cycle <= now
+    /// and pins the horizon to now: conservative, and batching is
+    /// result-invariant.
+    Cycle horizon() { return nextReady(); }
+    void lgStepped() {}
+    std::uint64_t producerSignature(std::uint64_t s) const { return s; }
+    void dumpColumns(ThreadId t);
 
     ReplayConfig cfg_;
     trace::TraceReader reader_;
@@ -165,17 +179,11 @@ class ReplayPlatform
     bool liveParallelRec_ = false; ///< header kCfgLiveParallel bit
     bool concurrent_ = false;      ///< resolved engine choice (ctor)
 
-    std::unique_ptr<Lifeguard> lifeguard_;
-    std::unique_ptr<ProgressTable> progress_;
-    std::unique_ptr<CaManager> caMgr_;
-    VersionStore versions_;
     /// Fresh metadata memory hierarchy for cross-lifeguard replays
     /// (same-lifeguard replays consume the recorded latency sideband).
     std::unique_ptr<MemorySystem> mem_;
-
     EventFilter filter_; ///< cross-lifeguard re-filtering
-    std::vector<std::unique_ptr<CaptureUnit>> captures_;
-    std::vector<std::unique_ptr<LifeguardCore>> lgCores_;
+    Monitor mon_;
     std::vector<std::unique_ptr<ReplayCore>> replayCores_;
     std::vector<trace::TraceReader::LatencyStream> latStreams_;
 };

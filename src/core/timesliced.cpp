@@ -4,7 +4,8 @@
 
 namespace paralog {
 
-Timesliced::Timesliced(PlatformConfig cfg) : cfg_(std::move(cfg))
+Timesliced::Timesliced(PlatformConfig cfg)
+    : cfg_(std::move(cfg)), env_(AddressLayout::env(cfg_))
 {
     cfg_.sim.mode = MonitorMode::kTimesliced;
     // A sequential lifeguard consumes a totally ordered stream: it needs
@@ -18,19 +19,10 @@ Timesliced::Timesliced(PlatformConfig cfg) : cfg_(std::move(cfg))
     heap_ = std::make_unique<Heap>(AddressLayout::kHeapBase,
                                    AddressLayout::kHeapBytes, k);
 
-    env_.heapBase = AddressLayout::kHeapBase;
-    env_.heapBytes = AddressLayout::kHeapBytes;
-    env_.globalBase = AddressLayout::kGlobalBase;
-    env_.lockBase = AddressLayout::kLockBase;
-    env_.barrierBase = AddressLayout::kBarrierBase;
-    env_.numThreads = k;
-    env_.scale = cfg_.scale;
-    env_.seed = cfg_.sim.seed;
-
     // One sequential lifeguard core: auto-sharding resolves to 1.
-    lifeguard_ = makeLifeguard(cfg_.lifeguard, k,
-                               cfg_.sim.effectiveShadowShards(1));
-    LifeguardPolicy policy = lifeguard_->policy();
+    mon_.lifeguard = makeLifeguard(cfg_.lifeguard, k,
+                                   cfg_.sim.effectiveShadowShards(1));
+    LifeguardPolicy policy = mon_.lifeguard->policy();
 
     // Arc capture off: the merged stream is already ordered.
     dataPath_ = std::make_unique<ScDataPath>(*mem_, false);
@@ -38,15 +30,16 @@ Timesliced::Timesliced(PlatformConfig cfg) : cfg_(std::move(cfg))
                                             *heap_, locks_, barriers_,
                                             *this);
 
-    progress_ = std::make_unique<ProgressTable>(k);
-    caMgr_ = std::make_unique<CaManager>(k);
+    mon_.progress = std::make_unique<ProgressTable>(k);
+    mon_.caMgr = std::make_unique<CaManager>(k);
 
     EventFilter filter;
     filter.regOps = policy.wantsRegOps;
     filter.jumps = policy.wantsJumps;
     filter.heapOnly = policy.heapOnly;
     filter.heapArena = heap_->arena();
-    capture_ = std::make_unique<CaptureUnit>(0, cfg_.sim, filter);
+    mon_.captures.push_back(
+        std::make_unique<CaptureUnit>(0, cfg_.sim, filter));
 
     std::shared_ptr<Workload> workload = cfg_.customWorkload;
     if (!workload)
@@ -60,9 +53,9 @@ Timesliced::Timesliced(PlatformConfig cfg) : cfg_(std::move(cfg))
     quantumLeft_ = cfg_.sim.timesliceQuantum;
     mem_->bindThread(0, 0);
 
-    lgCore_ = std::make_unique<LifeguardCore>(
-        1, 0, cfg_.sim, *capture_, *progress_, *caMgr_, *lifeguard_,
-        mem_.get(), versions_, k);
+    mon_.lgCores.push_back(std::make_unique<LifeguardCore>(
+        1, 0, cfg_.sim, merged(), *mon_.progress, *mon_.caMgr,
+        *mon_.lifeguard, mem_.get(), mon_.versions, k));
 }
 
 Timesliced::~Timesliced() = default;
@@ -71,7 +64,7 @@ bool
 Timesliced::lifeguardDrained(ThreadId tid)
 {
     (void)tid;
-    return capture_->consumerEmpty();
+    return merged().consumerEmpty();
 }
 
 std::uint32_t
@@ -103,7 +96,7 @@ Timesliced::switchTo(std::uint32_t next, Cycle now)
     rec.tid = tcs_[current_]->tid();
     rec.rid = tcs_[current_]->retired;
     rec.value = tcs_[current_]->tid();
-    capture_->buffer().append(std::move(rec));
+    merged().buffer().append(std::move(rec));
 
     appBusyUntil_ = now + cfg_.sim.contextSwitchCost;
 }
@@ -119,7 +112,7 @@ Timesliced::stepApp(Cycle now)
         return;
     }
 
-    if (!capture_->canAppend()) {
+    if (!merged().canAppend()) {
         st.logFullStall += cfg_.sim.retryInterval;
         appBusyUntil_ = now + cfg_.sim.retryInterval;
         return;
@@ -167,60 +160,35 @@ Timesliced::stepApp(Cycle now)
     ++tc.retired;
     ++st.retired;
     st.execCycles += out.latency;
-    capture_->setRetired(tc.retired);
-    capture_->append(out.event);
+    merged().setRetired(tc.retired);
+    merged().append(out.event);
     appBusyUntil_ = now + std::max<Cycle>(1, out.latency);
 
     if (quantumLeft_ == 0 || --quantumLeft_ == 0)
         switchTo(pickNext(), now);
 }
 
-bool
-Timesliced::appAllDone() const
+void
+Timesliced::dumpColumns(ThreadId) const
 {
-    for (bool f : finished_) {
-        if (!f)
-            return false;
-    }
-    return true;
+    std::fprintf(stderr, " | app thread=%u retired=%llu busyUntil=%llu",
+                 current_,
+                 static_cast<unsigned long long>(tcs_[current_]->retired),
+                 static_cast<unsigned long long>(appBusyUntil_));
 }
 
 RunResult
 Timesliced::run()
 {
-    Cycle now = 0;
-    while (!(appAllDone() && lgCore_->finished())) {
-        Cycle next = kInvalidRecord;
-        if (!appAllDone())
-            next = std::min(next, appBusyUntil_);
-        if (!lgCore_->finished())
-            next = std::min(next, lgCore_->busyUntil);
-        if (next > now)
-            now = next;
-
-        if (now > cfg_.maxCycles) {
-            panic("timesliced watchdog: no completion after %llu cycles",
-                  static_cast<unsigned long long>(cfg_.maxCycles));
-        }
-
-        if (!appAllDone() && appBusyUntil_ <= now)
-            stepApp(now);
-        if (!lgCore_->finished() && lgCore_->busyUntil <= now) {
-            // Solo-horizon batching: the timesliced application core is
-            // the only other actor (no TSO, one lifeguard).
-            lgCore_->step(now,
-                          appAllDone() ? ~Cycle{0} : appBusyUntil_);
-        }
-    }
-
-    RunResult result;
-    result.totalCycles = now;
+    SerialScheduler scheduler(RunGuard("timesliced",
+                                       "deadlock or runaway workload",
+                                       cfg_.maxCycles,
+                                       cfg_.stallWatchdogIters),
+                              mon_);
+    RunResult result = mon_.result(scheduler.run(*this));
     result.app = appStats_;
-    result.lifeguard.push_back(lgCore_->stats);
-    result.violationCount = lifeguard_->violations.count();
-    for (auto &tc : tcs_) {
+    for (auto &tc : tcs_)
         result.app[tc->tid()].programInsts = tc->programInsts;
-    }
     return result;
 }
 

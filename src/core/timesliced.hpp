@@ -7,11 +7,16 @@
  * No dependence arcs or ConflictAlerts are needed — the merged stream is
  * already totally ordered — but neither the application nor the
  * lifeguard enjoys any parallel speedup.
+ *
+ * The timesliced core is a producer of the serial scheduler
+ * (core/serial_scheduler.hpp), which drives it and the one lifeguard
+ * core under the same guards and state dump as live and replay runs.
  */
 
 #ifndef PARALOG_CORE_TIMESLICED_HPP
 #define PARALOG_CORE_TIMESLICED_HPP
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -35,13 +40,41 @@ class Timesliced : public PlatformHooks
 
     bool lifeguardDrained(ThreadId tid) override;
 
-    Lifeguard &lifeguard() { return *lifeguard_; }
+    Lifeguard &lifeguard() { return *mon_.lifeguard; }
 
   private:
     void stepApp(Cycle now);
     void switchTo(std::uint32_t next, Cycle now);
     std::uint32_t pickNext() const;
-    bool appAllDone() const;
+    CaptureUnit &merged() { return *mon_.captures[0]; }
+
+    // --- producer (core/serial_scheduler.hpp) ---
+    friend class SerialScheduler;
+    Cycle
+    nextReady() const
+    {
+        bool done = std::all_of(finished_.begin(), finished_.end(),
+                                [](bool f) { return f; });
+        return done ? ~Cycle{0} : appBusyUntil_;
+    }
+    void
+    produce(Cycle now, std::uint64_t)
+    {
+        if (appBusyUntil_ <= now && nextReady() != ~Cycle{0})
+            stepApp(now);
+    }
+    /// The timesliced application core is the only other actor.
+    Cycle horizon() const { return nextReady(); }
+    void lgStepped() {}
+    std::uint64_t
+    producerSignature(std::uint64_t) const
+    {
+        std::uint64_t retired = 0;
+        for (const auto &tc : tcs_)
+            retired += tc->retired;
+        return retired;
+    }
+    void dumpColumns(ThreadId t) const;
 
     PlatformConfig cfg_;
     WorkloadEnv env_;
@@ -54,12 +87,7 @@ class Timesliced : public PlatformHooks
     std::unique_ptr<Interpreter> interp_;
     Interpreter::StepOutcome stepScratch_; ///< reused across stepApp calls
 
-    std::unique_ptr<Lifeguard> lifeguard_;
-    std::unique_ptr<ProgressTable> progress_;
-    std::unique_ptr<CaManager> caMgr_;
-    VersionStore versions_;
-    std::unique_ptr<CaptureUnit> capture_; ///< merged stream
-    std::unique_ptr<LifeguardCore> lgCore_;
+    Monitor mon_; ///< one merged stream and its one lifeguard core
 
     std::vector<std::unique_ptr<ThreadContext>> tcs_;
     std::vector<AppThreadStats> appStats_;

@@ -103,6 +103,8 @@ struct Daemon::Session
         kQueued,       ///< upload accepted, job waiting for a worker
         kRunning,      ///< a worker is re-monitoring the upload
         kRespond,      ///< response buffered; flush then close
+        kLinger,       ///< response sent, write side shut: discard
+                       ///< the client's unread bytes until EOF
     };
 
     std::uint64_t id = 0;
@@ -419,7 +421,8 @@ Daemon::eventLoop()
                 Session &s = *sp;
                 if (s.state != Session::St::kQueued &&
                     s.state != Session::St::kRunning &&
-                    s.state != Session::St::kRespond) {
+                    s.state != Session::St::kRespond &&
+                    s.state != Session::St::kLinger) {
                     if (s.state == Session::St::kIngest)
                         metrics_.counter("daemon.jobs.shed").inc(1);
                     respondError(s, "shed", "draining");
@@ -554,7 +557,11 @@ Daemon::acceptClients(int listen_fd)
         s->fd = fd;
         s->lastActivity = s->lastHeartbeat = Clock::now();
 
-        if (sessions_.size() >= cfg_.maxSessions) {
+        // Lingering sessions are answered: they hold no slot.
+        std::size_t open = 0;
+        for (const auto &sp : sessions_)
+            open += sp->state != Session::St::kLinger;
+        if (open >= cfg_.maxSessions) {
             metrics_.counter("daemon.sessions.rejected").inc(1);
             respondError(*s, "rejected", "too-many-sessions");
         }
@@ -577,7 +584,9 @@ Daemon::readSession(Session &s)
         }
         if (n == 0) {
             s.sawEof = true;
-            if (s.state == Session::St::kIngest) {
+            if (s.state == Session::St::kLinger) {
+                closeSession(s);
+            } else if (s.state == Session::St::kIngest) {
                 s.ingest.finish(); // marks kTruncated
                 metrics_.counter("daemon.ingest.failed").inc(1);
                 metrics_
@@ -600,6 +609,8 @@ Daemon::readSession(Session &s)
             // "done sending, waiting for my answer" signal.
             return;
         }
+        if (s.state == Session::St::kLinger)
+            continue; // discard; the linger is timed from its start
         s.lastActivity = Clock::now();
         if (!handleRequestBytes(s, buf, static_cast<std::size_t>(n)))
             return;
@@ -687,6 +698,7 @@ Daemon::handleRequestBytes(Session &s, const std::uint8_t *p,
             respondError(s, "rejected", "trailing-data");
             return true;
         case Session::St::kRespond:
+        case Session::St::kLinger:
             // Already answered (shed/rejected mid-upload): discard the
             // tail the client had in flight.
             return true;
@@ -837,12 +849,31 @@ Daemon::writeSession(Session &s)
         s.lastActivity = Clock::now();
     }
     if (s.closeAfterOut) {
-        closeSession(s);
+        lingerSession(s);
         return;
     }
     // Flushed: reclaim the buffer (heartbeats accumulate here).
     s.out.clear();
     s.outOff = 0;
+}
+
+void
+Daemon::lingerSession(Session &s)
+{
+    // Closing a socket with request bytes still unread resets the
+    // connection: the client would read the response and then fail
+    // with ECONNRESET instead of seeing EOF. So half-close, and discard
+    // what the client still sends until its EOF or the idle timeout.
+    if (s.sawEof) {
+        closeSession(s); // everything it sent has been read
+        return;
+    }
+    ::shutdown(s.fd, SHUT_WR);
+    s.state = Session::St::kLinger;
+    s.closeAfterOut = false;
+    s.out.clear();
+    s.outOff = 0;
+    s.lastActivity = Clock::now();
 }
 
 void
@@ -872,6 +903,10 @@ Daemon::checkTimeouts()
             continue; // heartbeat path covers these
         if (msBetween(s.lastActivity, now) < cfg_.idleTimeoutMs)
             continue;
+        if (s.state == Session::St::kLinger) {
+            closeSession(s); // answered; it just never closed
+            continue;
+        }
         metrics_.counter("daemon.idle-timeouts").inc(1);
         if (s.state == Session::St::kRespond) {
             closeSession(s); // not reading its response either

@@ -19,6 +19,10 @@
  *     the connection is answered and closed; over maxQueuedJobs, the
  *     completed upload is shed with a reason. The accept loop never
  *     waits on a worker.
+ *   - Every close after a response lingers: the write side is shut and
+ *     the rest of the upload is read and discarded until EOF or the
+ *     idle timeout, so the client reads its verdict and then a clean
+ *     EOF, never a reset. Lingering sessions hold no session slot.
  *   - Everything is accounted in a MetricRegistry (stats request):
  *     jobs {accepted, completed, shed, failed}, queue depth, ingest
  *     bytes/failures by taxonomy, per-lifeguard latency percentiles.
@@ -67,7 +71,8 @@ struct DaemonConfig
     std::uint64_t maxIngestBytes = 256ull << 20;
     std::uint32_t maxChunkBytes = 16u << 20;
     /// A session that sends nothing for this long is closed (slow-loris
-    /// defense; only Ingest-state sessions are on this clock).
+    /// defense; only Ingest-state sessions are on this clock). Also
+    /// bounds a lingering close, timed from its start.
     int idleTimeoutMs = 5000;
     /// Heartbeat cadence towards queued/running sessions.
     int heartbeatMs = 500;
@@ -138,6 +143,8 @@ class Daemon
     void respond(Session &s, const std::string &body);
     void respondError(Session &s, const std::string &status,
                       const std::string &reason);
+    /** After the response: shut the write side, drain to EOF. */
+    void lingerSession(Session &s);
     void closeSession(Session &s);
     void checkTimeouts();
     void drainDoneQueue();

@@ -17,9 +17,11 @@
  */
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -119,7 +121,10 @@ sharedTrace()
 class DaemonHarness
 {
   public:
-    explicit DaemonHarness(const std::string &tag, DaemonConfig cfg = {})
+    /** @p serve_now false: listening, but no connection is accepted until
+     *  serve() runs the event loop. */
+    explicit DaemonHarness(const std::string &tag, DaemonConfig cfg = {},
+                           bool serve_now = true)
     {
         cfg.socketPath = ::testing::TempDir() + "pld_" + tag + "_" +
                          std::to_string(::getpid()) + ".sock";
@@ -129,7 +134,14 @@ class DaemonHarness
         cfg_ = cfg;
         daemon_ = std::make_unique<Daemon>(cfg_);
         started_ = daemon_->start();
-        if (started_)
+        if (serve_now)
+            serve();
+    }
+
+    void
+    serve()
+    {
+        if (started_ && !thread_.joinable())
             thread_ = std::thread([this] { rc_ = daemon_->run(); });
     }
 
@@ -185,13 +197,13 @@ waitFor(const std::function<bool()> &pred, int timeout_ms = 10000)
     return true;
 }
 
-/** Raw protocol client: send @p bytes, half-close, read the answer. */
-std::string
-rawExchange(const std::string &socket_path, const std::string &bytes)
+/** A raw connection to the daemon, or -1. */
+int
+connectRaw(const std::string &socket_path)
 {
     int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0)
-        return "";
+        return -1;
     sockaddr_un addr = {};
     addr.sun_family = AF_UNIX;
     std::strncpy(addr.sun_path, socket_path.c_str(),
@@ -199,8 +211,18 @@ rawExchange(const std::string &socket_path, const std::string &bytes)
     if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) != 0) {
         ::close(fd);
-        return "";
+        return -1;
     }
+    return fd;
+}
+
+/** Raw protocol client: send @p bytes, half-close, read the answer. */
+std::string
+rawExchange(const std::string &socket_path, const std::string &bytes)
+{
+    int fd = connectRaw(socket_path);
+    if (fd < 0)
+        return "";
     (void)::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
     ::shutdown(fd, SHUT_WR);
     std::string out;
@@ -458,15 +480,8 @@ TEST_F(DaemonTest, OverSessionCapIsRejectedNotBlocked)
     ASSERT_TRUE(h.started());
 
     // Occupy the one session slot with an idle connection.
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    int fd = connectRaw(h.socket());
     ASSERT_GE(fd, 0);
-    sockaddr_un addr = {};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, h.socket().c_str(),
-                 sizeof(addr.sun_path) - 1);
-    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                        sizeof(addr)),
-              0);
     ASSERT_TRUE(waitFor([&] {
         return h.metrics().counterValue("daemon.conns.accepted") >= 1;
     }));
@@ -477,6 +492,53 @@ TEST_F(DaemonTest, OverSessionCapIsRejectedNotBlocked)
     EXPECT_NE(r.responseJson.find("too-many-sessions"),
               std::string::npos);
     ::close(fd);
+}
+
+TEST_F(DaemonTest, RejectedUploadReadsVerdictThenCleanEof)
+{
+    // A client over the session cap still has its upload in flight when
+    // the daemon answers. Closing the socket with those bytes unread
+    // resets the connection: the client reads the verdict, then its
+    // next recv fails with ECONNRESET instead of seeing EOF. The
+    // ordering is made certain here, not left to timing: both
+    // connections and the upload prefix are queued before the event
+    // loop accepts anything, so the rejected session's bytes are unread
+    // when the daemon answers it.
+    DaemonConfig cfg;
+    cfg.maxSessions = 1;
+    DaemonHarness h("linger", cfg, false);
+    ASSERT_TRUE(h.started());
+
+    int hold = connectRaw(h.socket()); // accepted first: takes the slot
+    ASSERT_GE(hold, 0);
+    std::vector<std::uint8_t> upload(kSubmitMagic.begin(),
+                                     kSubmitMagic.end());
+    upload.resize(upload.size() + kSubmitHeaderBytes, 0); // no lifeguards
+    std::vector<std::uint8_t> trace = slurp(sharedTrace().path);
+    ASSERT_GT(trace.size(), 4096u);
+    upload.insert(upload.end(), trace.begin(), trace.begin() + 4096);
+    int fd = connectRaw(h.socket());
+    ASSERT_GE(fd, 0);
+    timeval tv{10, 0}; // a missing EOF fails the test instead of hanging
+    ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)),
+              0);
+    ASSERT_EQ(::send(fd, upload.data(), upload.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(upload.size()))
+        << std::strerror(errno);
+    h.serve();
+
+    std::string answer;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
+        answer.append(buf, static_cast<std::size_t>(n));
+    const int err = n < 0 ? errno : 0;
+    EXPECT_NE(answer.find("\"status\":\"rejected\""), std::string::npos)
+        << answer;
+    EXPECT_NE(answer.find("too-many-sessions"), std::string::npos);
+    EXPECT_EQ(n, 0) << "after the verdict: " << std::strerror(err);
+    ::close(fd);
+    ::close(hold);
 }
 
 TEST_F(DaemonTest, FullQueueShedsInsteadOfBlocking)

@@ -5,11 +5,16 @@
  * and that the mechanisms are observably load-bearing.
  */
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.hpp"
+#include "core/replay.hpp"
 #include "harness/paralog_test.hpp"
 #include "lifeguard/addrcheck.hpp"
 
@@ -93,19 +98,56 @@ TEST_F(FailureInjection, CaOrderingKeepsAddrCheckSound)
 
 TEST_F(FailureInjection, WatchdogCatchesRunaway)
 {
+    // Every serial engine (live, timesliced, replay) runs under the same
+    // scheduler guards: an absurdly small simulated-time limit must trip
+    // the watchdog, after the wait-state dump.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const char *const kDumpThenPanic = "watchdog state dump.*simulation "
+                                       "watchdog.*no completion after 10 "
+                                       "cycles";
     ExperimentOptions o;
     o.scale = 8000;
     PlatformConfig cfg = makeConfig(WorkloadKind::kLu,
                                     LifeguardKind::kTaintCheck,
                                     MonitorMode::kParallel, 2, o);
-    cfg.maxCycles = 10; // absurdly small: must trip the watchdog
+    cfg.maxCycles = 10;
     EXPECT_DEATH(
         {
             Platform p(cfg);
             p.run();
         },
-        "watchdog");
+        kDumpThenPanic);
+
+    PlatformConfig ts_cfg = makeConfig(WorkloadKind::kLu,
+                                       LifeguardKind::kTaintCheck,
+                                       MonitorMode::kTimesliced, 2, o);
+    ts_cfg.maxCycles = 10;
+    EXPECT_DEATH(
+        {
+            Timesliced ts(ts_cfg);
+            ts.run();
+        },
+        kDumpThenPanic);
+
+    RunSpec rec;
+    rec.workload = WorkloadKind::kLu;
+    rec.lifeguard = LifeguardKind::kTaintCheck;
+    rec.mode = MonitorMode::kParallel;
+    rec.cores = 2;
+    rec.opt = test::makeOptions(600);
+    rec.recordPath = ::testing::TempDir() + "watchdog_runaway_" +
+                     std::to_string(::getpid()) + ".trace";
+    recordExperiment(rec);
+    ReplayConfig replay_cfg;
+    replay_cfg.path = rec.recordPath;
+    replay_cfg.maxCycles = 10;
+    EXPECT_DEATH(
+        {
+            ReplayPlatform replay(replay_cfg);
+            replay.run();
+        },
+        kDumpThenPanic);
+    std::remove(rec.recordPath.c_str());
 }
 
 TEST_F(FailureInjection, TinyLogBufferStillCorrect)

@@ -17,7 +17,7 @@
 
 #include "common/spsc_ring.hpp"
 #include "common/stats.hpp"
-#include "core/platform.hpp"
+#include "core/serial_scheduler.hpp"
 #include "deliver/progress_table.hpp"
 
 namespace paralog {

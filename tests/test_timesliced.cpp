@@ -90,6 +90,18 @@ TEST_F(TimeslicedTest, MallocWorkloadCorrect)
     EXPECT_EQ(r.violationCount, 0u);
 }
 
+TEST_F(TimeslicedTest, ReportedViolationsCarryAFingerprint)
+{
+    // Timesliced results come from the same assembly as live and replay
+    // runs: reported violations come with their distinct-set
+    // fingerprint. LockSet flags barnes' unlocked shared accesses.
+    RunResult r = runExperiment(WorkloadKind::kBarnes,
+                                LifeguardKind::kLockSet,
+                                MonitorMode::kTimesliced, 2, opts());
+    ASSERT_GT(r.violationCount, 0u);
+    EXPECT_NE(r.violationFingerprint, 0u);
+}
+
 TEST_F(TimeslicedTest, Deterministic)
 {
     RunResult a = runExperiment(WorkloadKind::kFmm,
