@@ -80,12 +80,11 @@ using WallClockSummary = SampleSummaryT<double>;
  * Monotonic scalar counter. Backed by a relaxed atomic so that
  * monitor-side counters can be *sampled* from another host thread
  * (the concurrent-mode progress watchdog) without a data race.
- * Writers are still expected to be serialized per counter — each
- * counter has a single owning thread or is updated under its
- * component's mutex — the atomic only makes cross-thread sampling
- * well-defined, not concurrent increments contention-proof. inc()
- * uses an atomic RMW anyway so an accidental second writer degrades
- * to a benign ordering question instead of lost updates.
+ * Each counter has one writer at a time: a single owning thread, or
+ * writers serialized by the component's mutex. inc() is therefore a
+ * relaxed load plus store, not a locked read-modify-write; it runs on
+ * every retired instruction. A counter that two threads update
+ * without a common lock must use incShared() instead.
  */
 class Counter
 {
@@ -105,6 +104,13 @@ class Counter
 
     void
     inc(std::uint64_t n = 1)
+    {
+        value_.store(value_.load(std::memory_order_relaxed) + n,
+                     std::memory_order_relaxed);
+    }
+    /** inc() for a counter with several unsynchronized writers. */
+    void
+    incShared(std::uint64_t n = 1)
     {
         value_.fetch_add(n, std::memory_order_relaxed);
     }
@@ -187,8 +193,8 @@ class StatSet
      * are fixed storage, each published exactly once with a release
      * store of its name after the entry is complete, and scanned with
      * acquire loads — first-use takes initMutex_, the steady state
-     * stays lock-free. Counter increments were already relaxed
-     * atomics; Histograms remain single-writer (see class comment).
+     * stays lock-free. Counters and Histograms keep their one-writer
+     * rules (see the class comments).
      */
     Counter &
     counter(const char *name)

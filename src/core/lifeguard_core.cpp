@@ -107,7 +107,7 @@ LifeguardCore::enforceVersionProtocol(const EventRecord &rec)
             if (vs.produce(rec.version,
                            VersionStore::Versioned{bits, rec.addr,
                                                    rec.size, false}))
-                vs.stats.counter("produced_backstop").inc();
+                vs.stats.counter("produced_backstop").incShared();
         }
         // Opportunistic prune: entries whose version was already
         // consumed can never be marked (the consumer ran first).

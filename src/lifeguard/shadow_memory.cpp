@@ -63,14 +63,14 @@ ShadowMemory::ensureChunk(Addr app_addr)
         std::lock_guard<std::mutex> lock(sh.mapMutex);
         std::unique_ptr<Chunk> &slot = sh.chunks[idx];
         if (!slot)
-            slot = std::make_unique<Chunk>(chunkMetaBytes_, 0);
+            slot = std::make_unique<Chunk>(chunkMetaBytes_);
         return *slot;
     }
     if (idx == sh.cachedIdx)
         return *sh.cachedChunk;
     std::unique_ptr<Chunk> &slot = sh.chunks[idx];
     if (!slot)
-        slot = std::make_unique<Chunk>(chunkMetaBytes_, 0);
+        slot = std::make_unique<Chunk>(chunkMetaBytes_);
     sh.cachedIdx = idx;
     sh.cachedChunk = slot.get();
     return *sh.cachedChunk;
@@ -378,14 +378,80 @@ ShadowMemory::fill(const AddrRange &range, std::uint8_t value)
     }
 }
 
+namespace {
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+/** kFnvPrime^n mod 2^64: the FNV-1a step over n zero values. */
+std::uint64_t
+fnvPrimePow(std::uint64_t n)
+{
+    std::uint64_t r = 1;
+    for (std::uint64_t b = kFnvPrime; n; n >>= 1, b *= b) {
+        if (n & 1)
+            r *= b;
+    }
+    return r;
+}
+
+} // namespace
+
 std::uint64_t
 shadowFingerprint(const ShadowMemory &shadow, Addr base,
                   std::uint64_t bytes)
 {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (Addr a = base; a < base + bytes; ++a) {
-        h ^= shadow.read(a);
-        h *= 1099511628211ULL;
+    // FNV-1a over shadow.read(a) for every a in the range, read straight
+    // from the chunk bytes. A zero value only multiplies by the prime,
+    // so a zero backing byte, word or unmapped chunk is one
+    // multiplication by a power of it.
+    constexpr Addr kChunk = ShadowMemory::kChunkAppBytes;
+    const unsigned bpb = shadow.bitsPerByte();
+    const unsigned gpb = 8 / bpb; // app bytes per backing byte
+    const std::uint8_t mask = static_cast<std::uint8_t>((1u << bpb) - 1);
+    const std::uint64_t zero_byte = fnvPrimePow(gpb);
+    const std::uint64_t zero_word = fnvPrimePow(8 * gpb);
+
+    std::uint64_t h = kFnvOffset;
+    const Addr end = base + bytes;
+    Addr a = base;
+    while (a < end) {
+        const Addr chunk_base = a - a % kChunk;
+        const Addr seg_end = std::min<Addr>(end, chunk_base + kChunk);
+        const std::uint8_t *d = shadow.chunkBytes(a);
+        if (!d) {
+            h *= fnvPrimePow(seg_end - a);
+            a = seg_end;
+            continue;
+        }
+        auto hashOne = [&](Addr x) {
+            std::uint64_t bit = (x - chunk_base) * bpb;
+            h ^= (d[bit >> 3] >> (bit & 7)) & mask;
+            h *= kFnvPrime;
+        };
+        while (a < seg_end && (a - chunk_base) % (8 * gpb) != 0)
+            hashOne(a++);
+        for (; a + 8 * gpb <= seg_end; a += 8 * gpb) {
+            const std::uint8_t *w = d + (a - chunk_base) / gpb;
+            std::uint64_t word;
+            std::memcpy(&word, w, 8);
+            if (word == 0) {
+                h *= zero_word;
+                continue;
+            }
+            for (unsigned k = 0; k < 8; ++k) {
+                if (w[k] == 0) {
+                    h *= zero_byte;
+                    continue;
+                }
+                for (unsigned g = 0; g < gpb; ++g) {
+                    h ^= (w[k] >> (g * bpb)) & mask;
+                    h *= kFnvPrime;
+                }
+            }
+        }
+        while (a < seg_end)
+            hashOne(a++);
     }
     return h;
 }

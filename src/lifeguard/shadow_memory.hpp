@@ -25,7 +25,9 @@
  *  - rangeFindNot()/rangeAll() scan 64-bit words;
  *  - writes of metadata value 0 to an unmapped chunk are elided: chunks
  *    are zero-initialized, so fill(range, 0) over untouched address
- *    space allocates nothing.
+ *    space allocates nothing;
+ *  - chunks are ZeroPages storage: a new chunk writes none of its bytes,
+ *    and a run commits only the metadata pages it touches.
  *
  * Sharding: the chunk table can be split into a power-of-two number of
  * shards, selected by the low bits of the chunk index (so consecutive
@@ -60,10 +62,10 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 #include "common/flat_map.hpp"
 #include "common/types.hpp"
+#include "common/zero_pages.hpp"
 
 namespace paralog {
 
@@ -151,12 +153,22 @@ class ShadowMemory
         return chunkCount() * chunkMetaBytes_;
     }
 
+    /** Backing metadata bytes of the chunk covering @p app_addr (the
+     *  chunk's first application byte maps to element 0), or nullptr
+     *  when the chunk is unmapped. */
+    const std::uint8_t *
+    chunkBytes(Addr app_addr) const
+    {
+        const Chunk *c = lookupChunk(app_addr);
+        return c ? c->data() : nullptr;
+    }
+
   private:
-    using Chunk = std::vector<std::uint8_t>;
+    using Chunk = ZeroPages<std::uint8_t>;
 
     /**
      * One shard of the chunk table: its slice of the chunk map plus its
-     * own last-chunk cache. Chunk storage is stable (vectors never
+     * own last-chunk cache. Chunk storage is stable (chunks never
      * resize, unique_ptr targets never move), so a cached pointer stays
      * valid for the lifetime of the ShadowMemory. Caches are mutable so
      * const readers benefit from the sequential-access common case too.

@@ -5,18 +5,25 @@
 
 namespace paralog {
 
-Cache::Cache(const CacheParams &params, std::string name)
-    : params_(params), name_(std::move(name))
+/** Line count of @p params, checked before any storage is mapped. */
+static std::uint64_t
+checkedLineCount(const CacheParams &params, const std::string &name)
 {
-    PARALOG_ASSERT(isPowerOf2(params_.lineBytes), "line size must be 2^k");
-    std::uint64_t lines_total = params_.sizeBytes / params_.lineBytes;
-    PARALOG_ASSERT(lines_total % params_.assoc == 0,
-                   "size/assoc mismatch in cache %s", name_.c_str());
-    numSets_ = static_cast<std::uint32_t>(lines_total / params_.assoc);
+    PARALOG_ASSERT(isPowerOf2(params.lineBytes), "line size must be 2^k");
+    std::uint64_t lines_total = params.sizeBytes / params.lineBytes;
+    PARALOG_ASSERT(lines_total % params.assoc == 0,
+                   "size/assoc mismatch in cache %s", name.c_str());
+    return lines_total;
+}
+
+Cache::Cache(const CacheParams &params, std::string name)
+    : params_(params), name_(std::move(name)),
+      lines_(checkedLineCount(params_, name_))
+{
+    numSets_ = static_cast<std::uint32_t>(lines_.size() / params_.assoc);
     PARALOG_ASSERT(isPowerOf2(numSets_), "set count must be 2^k");
     lineShift_ = floorLog2(params_.lineBytes);
     lineMask_ = params_.lineBytes - 1;
-    lines_.resize(lines_total);
 }
 
 std::uint32_t
@@ -104,8 +111,11 @@ Cache::invalidate(Addr addr)
 void
 Cache::flushAll()
 {
-    for (auto &line : lines_)
-        line.state = LineState::kInvalid;
+    // Write only valid lines: never-touched pages stay uncommitted.
+    for (CacheLine &line : lines_) {
+        if (line.valid())
+            line.state = LineState::kInvalid;
+    }
 }
 
 } // namespace paralog

@@ -12,9 +12,10 @@
 #define PARALOG_MEM_CACHE_HPP
 
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "common/types.hpp"
+#include "common/zero_pages.hpp"
 #include "sim/config.hpp"
 
 namespace paralog {
@@ -49,6 +50,15 @@ struct CacheLine
 
     bool valid() const { return state != LineState::kInvalid; }
 };
+
+// A cache's tag array is ZeroPages storage that no constructor runs
+// over, so all-zero bytes must be an invalid line: state kInvalid, tag
+// and lruStamp 0. Zero bytes do not make a default BlockTag (tid 0 is a
+// real thread), but the lastAccess of an invalid line is never read:
+// probe()/lookup() return only valid lines and insert() resets it.
+static_assert(std::is_aggregate_v<CacheLine>);
+static_assert(std::is_trivially_destructible_v<CacheLine>);
+static_assert(static_cast<int>(LineState::kInvalid) == 0);
 
 /**
  * Tag-only cache model. Data lives in MainMemory; this class tracks
@@ -92,6 +102,9 @@ class Cache
     Cycle hitLatency() const { return params_.hitLatency; }
     std::uint32_t numSets() const { return numSets_; }
 
+    /** The tag array, committed page by page on first touch. */
+    const ZeroPages<CacheLine> &storage() const { return lines_; }
+
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
@@ -105,7 +118,7 @@ class Cache
     unsigned lineShift_; ///< log2(lineBytes): setIndex must not divide
     Addr lineMask_;
     std::uint64_t lruClock_ = 0;
-    std::vector<CacheLine> lines_; // numSets_ * assoc, set-major
+    ZeroPages<CacheLine> lines_; // numSets_ * assoc, set-major
 };
 
 } // namespace paralog

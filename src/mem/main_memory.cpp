@@ -19,10 +19,8 @@ MainMemory::pageFor(Addr addr)
     if (pn == cachedPn_)
         return *cachedPage_;
     std::unique_ptr<Page> &slot = pages_[pn];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
-    }
+    if (!slot)
+        slot = std::make_unique<Page>(); // value-initialized: all zero
     cachedPn_ = pn;
     cachedPage_ = slot.get();
     return *cachedPage_;

@@ -1,7 +1,13 @@
 /** @file Unit tests for the memory hierarchy and dependence capture. */
 
-#include <gtest/gtest.h>
+#include <cstdint>
+#include <vector>
 
+#include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include "lifeguard/shadow_memory.hpp"
 #include "mem/memory_system.hpp"
 
 namespace paralog {
@@ -262,6 +268,50 @@ TEST(Cache, SameSetDifferentTags)
     c.insert(0x1000, LineState::kExclusive, nullptr);
     EXPECT_NE(c.probe(0x0), nullptr);
     EXPECT_NE(c.probe(0x1000), nullptr);
+}
+
+/** Pages of [p, p + bytes) that mincore() reports resident. */
+std::size_t
+residentPages(const void *p, std::size_t bytes)
+{
+    const std::uintptr_t page = sysconf(_SC_PAGESIZE);
+    const std::uintptr_t addr = reinterpret_cast<std::uintptr_t>(p);
+    const std::uintptr_t lo = addr & ~(page - 1);
+    const std::uintptr_t hi = addr + bytes;
+    std::vector<unsigned char> vec((hi - lo + page - 1) / page);
+    EXPECT_EQ(mincore(reinterpret_cast<void *>(lo), hi - lo, vec.data()), 0);
+    std::size_t n = 0;
+    for (unsigned char v : vec)
+        n += v & 1;
+    return n;
+}
+
+// Tag arrays and shadow chunks are committed page by page as a run
+// touches them (ASan builds back them with calloc instead).
+TEST(Cache, TagsCommittedOnFirstTouch)
+{
+#ifdef __SANITIZE_ADDRESS__
+    GTEST_SKIP() << "ASan builds allocate the storage with calloc";
+#endif
+    CacheParams p{8 * 1024 * 1024, 64, 8, 10}; // an 8 MiB L2
+    Cache c(p, "l2");
+    const ZeroPages<CacheLine> &tags = c.storage();
+    EXPECT_EQ(residentPages(tags.data(), tags.bytes()), 0u);
+    EXPECT_EQ(c.lookup(0x40000), nullptr);
+    c.insert(0x40000, LineState::kExclusive, nullptr);
+    EXPECT_EQ(residentPages(tags.data(), tags.bytes()), 1u);
+}
+
+TEST(ShadowChunk, CommittedOnFirstTouch)
+{
+#ifdef __SANITIZE_ADDRESS__
+    GTEST_SKIP() << "ASan builds allocate the storage with calloc";
+#endif
+    ShadowMemory s(2);
+    s.write(0x12345, 1);
+    const std::uint8_t *chunk = s.chunkBytes(0x12345);
+    ASSERT_NE(chunk, nullptr);
+    EXPECT_EQ(residentPages(chunk, s.bytesAllocated()), 1u);
 }
 
 } // namespace

@@ -7,10 +7,15 @@
  * zero-write elision — and, for the sharded chunk table, against the
  * legacy single-shard layout (which must stay bit-identical for every
  * shard count, all the way up to whole-run lifeguard fingerprints).
+ * shadowFingerprint's chunk-wise hash is checked against its
+ * byte-by-byte FNV-1a definition.
  */
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -223,6 +228,70 @@ TEST_P(ShadowFastPath, OutOfMaskComparisonNeverMatches)
     std::uint8_t big = static_cast<std::uint8_t>((1u << bpb));
     EXPECT_EQ(s.rangeFindNot(AddrRange{0x100, 0x140}, big), 0x100u);
     EXPECT_FALSE(s.rangeAll(AddrRange{0x100, 0x140}, big));
+}
+
+/** The fingerprint's definition: FNV-1a of read(a), one app byte at a
+ *  time. */
+std::uint64_t
+byteByByteFingerprint(const ShadowMemory &s, Addr base, std::uint64_t bytes)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (Addr a = base; a < base + bytes; ++a) {
+        h ^= s.read(a);
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+TEST_P(ShadowFastPath, FingerprintMatchesByteByByteDefinition)
+{
+    const std::uint32_t bpb = GetParam();
+    const std::uint64_t vmax = (1u << bpb) - 1;
+    constexpr Addr kChunk = ShadowMemory::kChunkAppBytes;
+    Rng rng(0xF1A6E ^ bpb);
+
+    for (int shadow = 0; shadow < 80; ++shadow) {
+        // Chunks 0, 1 and 3 get sparse writes and dense fills; chunk 2
+        // stays unmapped.
+        ShadowMemory s(bpb);
+        auto pickMapped = [&] {
+            Addr chunk = std::array<Addr, 3>{0, 1, 3}[rng.below(3)];
+            return chunk * kChunk + rng.below(kChunk);
+        };
+        for (int i = 0; i < 200; ++i) {
+            Addr a = pickMapped();
+            if (rng.below(8) == 0) {
+                Addr end = std::min<Addr>(a + rng.below(4096),
+                                          (a / kChunk + 1) * kChunk);
+                s.fill(AddrRange{a, end},
+                       static_cast<std::uint8_t>(rng.range(0, vmax)));
+            } else {
+                s.write(a, static_cast<std::uint8_t>(rng.range(0, vmax)));
+            }
+        }
+        // Dense metadata right at the boundaries the ranges straddle.
+        s.fill(AddrRange{kChunk - 40, kChunk + 40},
+               static_cast<std::uint8_t>(rng.range(1, vmax)));
+        s.fill(AddrRange{3 * kChunk, 3 * kChunk + 24},
+               static_cast<std::uint8_t>(rng.range(1, vmax)));
+        ASSERT_EQ(s.chunkBytes(2 * kChunk), nullptr);
+
+        std::vector<std::pair<Addr, std::uint64_t>> ranges = {
+            {kChunk - rng.below(20000), rng.below(40000)},
+            {2 * kChunk - rng.below(20000), rng.below(40000)},
+            {3 * kChunk - rng.below(20000), rng.below(40000)},
+            {rng.below(4 * kChunk), rng.below(300)},
+            {rng.below(64), 0},
+        };
+        if (shadow % 10 == 0) // one span over all four chunks
+            ranges.emplace_back(rng.below(100), 4 * kChunk);
+        for (auto [base, bytes] : ranges) {
+            ASSERT_EQ(shadowFingerprint(s, base, bytes),
+                      byteByByteFingerprint(s, base, bytes))
+                << "shadow " << shadow << " range @" << base << " +"
+                << bytes;
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ratios, ShadowFastPath,
